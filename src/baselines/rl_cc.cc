@@ -17,11 +17,7 @@ RlRateController::RlRateController(std::shared_ptr<ActorCritic> model, Options o
   assert(model_ != nullptr);
   assert(model_->obs_dim() ==
          options_.observation_prefix.size() + history_.entry_width() * options_.history_len);
-  if (options_.precision == Precision::kFloat32) {
-    float32_policy_ = model_->MakeFloat32Policy();
-  } else if (options_.precision == Precision::kInt8) {
-    float32_policy_ = model_->MakeInt8Policy();
-  }
+  float32_policy_ = model_->MakeInferencePolicy(options_.precision);
   if (options_.guard) {
     GuardedPolicy::Options guard_options = options_.guard_options;
     guard_options.min_rate_bps = options_.min_rate_bps;

@@ -32,8 +32,8 @@ class RlRateController : public CongestionControl {
     std::vector<double> observation_prefix;  // MOCC's weight vector; empty for Aurora
     std::string name = "RL";
     // Per-MI inference precision: kFloat32 runs the model's frozen float32
-    // replica (ActorCritic::MakeFloat32Policy), kInt8 the quantized replica
-    // (MakeInt8Policy) — the deployment fast paths. Ignored (double path kept)
+    // replica, kInt8 the quantized replica (ActorCritic::MakeInferencePolicy)
+    // — the deployment fast paths. Ignored (double path kept)
     // when the model does not provide the requested replica. The replica is
     // per-controller, so flows sharing one model do not share inference
     // scratch state.

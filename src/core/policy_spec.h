@@ -1,12 +1,11 @@
 // PolicySpec: the one way to describe a deployable MOCC policy.
 //
-// Before this existed, every embedder re-plumbed the same four knobs — model (or
-// checkpoint path), precision, guard, weights — through its own hand-rolled option
-// struct into MakeMoccCc / RlRateController::Options / MakeFloat32Policy /
-// GuardedPolicy wiring. PolicySpec collapses that into a single builder that all
-// consumers share: the CLI tools (`mocc_simulate`, `mocc_eval`, `bench_report`),
-// the serving layer (`CreateService`, src/core/mocc_api.h) and `MakeMoccCc`
-// itself (now a thin wrapper kept for source compatibility).
+// Every deployed policy is described by the same four knobs — model (or
+// checkpoint path), precision, guard, weights. PolicySpec is the single builder
+// all consumers share instead of hand-wiring RlRateController::Options /
+// MakeInferencePolicy / GuardedPolicy: the CLI tools (`mocc_simulate`,
+// `mocc_eval`, `bench_report`), the examples and benches, the fleet runner and
+// the serving layer (`CreateService`, src/core/mocc_api.h).
 //
 //   PolicySpec spec;
 //   spec.WithCheckpoint("model.bin").WithPrecision(Precision::kFloat32).WithGuard(true);
@@ -69,9 +68,9 @@ class PolicySpec {
   // after an stderr diagnostic — when neither is available or the load fails.
   std::shared_ptr<PreferenceActorCritic> ResolveModel() const;
 
-  // Builds a single-flow controller (the MakeMoccCc shape: history length and
-  // action scale from the model config, weight prefix from `w`). Returns nullptr
-  // when the model cannot be resolved.
+  // Builds a single-flow controller (history length and action scale from the
+  // model config, weight prefix from `w`). Returns nullptr when the model cannot
+  // be resolved.
   std::unique_ptr<RlRateController> MakeController(const WeightVector& w) const;
   std::unique_ptr<RlRateController> MakeController(const WeightVector& w,
                                                    double initial_rate_bps) const;

@@ -46,16 +46,9 @@ struct ShardPolicy {
 
 ShardPolicy MakeShardPolicy(const PreferenceActorCritic& model, Precision precision) {
   ShardPolicy policy;
-  switch (precision) {
-    case Precision::kDouble:
-      policy.clone = model.Clone();
-      break;
-    case Precision::kFloat32:
-      policy.inference = model.MakeFloat32Policy();
-      break;
-    case Precision::kInt8:
-      policy.inference = model.MakeInt8Policy();
-      break;
+  policy.inference = model.MakeInferencePolicy(precision);
+  if (policy.inference == nullptr) {
+    policy.clone = model.Clone();
   }
   return policy;
 }

@@ -38,6 +38,18 @@ std::unique_ptr<InferencePolicy> ActorCritic::MakeFloat32Policy() const { return
 
 std::unique_ptr<InferencePolicy> ActorCritic::MakeInt8Policy() const { return nullptr; }
 
+std::unique_ptr<InferencePolicy> ActorCritic::MakeInferencePolicy(Precision precision) const {
+  switch (precision) {
+    case Precision::kFloat32:
+      return MakeFloat32Policy();
+    case Precision::kInt8:
+      return MakeInt8Policy();
+    case Precision::kDouble:
+      break;
+  }
+  return nullptr;
+}
+
 MlpActorCritic::MlpActorCritic(size_t obs_dim, Rng* rng, std::vector<size_t> hidden,
                                double init_log_std)
     : obs_dim_(obs_dim), hidden_(std::move(hidden)) {

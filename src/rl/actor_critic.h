@@ -15,7 +15,8 @@
 
 namespace mocc {
 
-class InferencePolicy;  // src/rl/inference_policy.h
+class InferencePolicy;     // src/rl/inference_policy.h
+enum class Precision;      // src/rl/inference_policy.h
 
 // A policy π(a|s) = N(mean(s), exp(log_std)²) together with a value estimate V(s).
 // The action is one-dimensional (the rate-adjustment a_t of Eq. 1).
@@ -73,6 +74,12 @@ class ActorCritic {
   // freeze plus per-layer symmetric weight quantization of the tanh layers.
   // Same nullability and independence contract as MakeFloat32Policy.
   virtual std::unique_ptr<InferencePolicy> MakeInt8Policy() const;
+
+  // The deployment replica for `precision`: MakeFloat32Policy for kFloat32,
+  // MakeInt8Policy for kInt8, nullptr for kDouble (the caller keeps running
+  // this model's own double path). The one precision -> replica mapping every
+  // deployed policy (controller, serving engine, fleet shard) goes through.
+  std::unique_ptr<InferencePolicy> MakeInferencePolicy(Precision precision) const;
 };
 
 // Aurora-style model: two independent MLPs (actor, critic), two hidden layers of 64 and

@@ -39,11 +39,7 @@ ServingEngine::ServingEngine(const PolicySpec& spec,
   history_len_ = model_->config().history_len_eta;
   obs_dim_ = slab_.obs_dim();
   assert(model_->obs_dim() == obs_dim_);
-  if (spec.precision() == Precision::kFloat32) {
-    policy_ = model_->MakeFloat32Policy();
-  } else if (spec.precision() == Precision::kInt8) {
-    policy_ = model_->MakeInt8Policy();
-  }
+  policy_ = model_->MakeInferencePolicy(spec.precision());
 }
 
 uint64_t ServingEngine::TickFor(double now_s) const {

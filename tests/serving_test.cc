@@ -3,12 +3,15 @@
 // level — the MatMulBiasInto row-pair tiling, MlpT::ForwardBatchRows, the
 // InferencePolicy batch API — and a MoccServing instance must decide every
 // connection exactly as a dedicated per-flow RlRateController fed the same
-// reports would (float32, double and guarded variants). Plus slab lifecycle
+// reports would (float32, double and guarded variants), and a packet-simulator
+// run served through ServingCc must match the same run on per-flow controllers
+// (every precision, guarded or not, 3-wide and ECN models). Plus slab lifecycle
 // determinism (attach/detach/reattach, stale-handle rejection), deadline-wheel
 // same-tick batching, and the InferencePolicy single-thread contract.
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,9 +23,13 @@
 #include "src/core/mocc_config.h"
 #include "src/core/policy_spec.h"
 #include "src/core/preference_model.h"
+#include "src/netsim/aqm.h"
+#include "src/netsim/packet_network.h"
+#include "src/netsim/topology.h"
 #include "src/nn/matrix.h"
 #include "src/nn/mlp.h"
 #include "src/rl/inference_policy.h"
+#include "src/serving/serving_cc.h"
 
 namespace mocc {
 namespace {
@@ -232,6 +239,144 @@ TEST(ServingEngineTest, DoublePathMatchesPerFlowControllersBitExactly) {
 
 TEST(ServingEngineTest, GuardedFloat32MatchesPerFlowControllersBitExactly) {
   ExpectServingMatchesControllers(Precision::kFloat32, /*guard=*/true);
+}
+
+// --- 4b. Packet simulator: served flows == per-flow controllers -------------
+//
+// One multi-flow PacketNetwork run twice: every flow a ServingCc over one shared
+// MoccServing, then every flow a dedicated PolicySpec::MakeController. The
+// simulator feeds back what each flow decided, so any divergence compounds into
+// different totals and monitor-interval sequences. One mid-run objective switch
+// (SwitchObjective on the service, SetObservationPrefix on the controllers)
+// covers the online preference change.
+
+struct SimFlowTrace {
+  int64_t sent = 0;
+  int64_t acked = 0;
+  int64_t lost = 0;
+  int64_t marked = 0;
+  int64_t guard_trips = -1;  // -1 = unguarded
+  std::vector<MiSample> mis;
+};
+
+std::vector<SimFlowTrace> RunPacketSim(const PolicySpec& spec, bool ecn_link, bool served) {
+  constexpr int kFlows = 4;
+  constexpr double kInitialRate = 6e6;  // 2x overdrive: queues build, RED marks
+  constexpr double kSwitchS = 6.0;
+  constexpr double kDurationS = 12.0;
+  LinkParams link;
+  link.bandwidth_bps = 12e6;
+  link.one_way_delay_s = 0.020;
+  link.queue_capacity_pkts = 200;
+  NetworkTopology topology = BuildTopology(TopologySpec{}, link);
+  if (ecn_link) {
+    AqmSpec& aqm = topology.links[0].aqm;
+    aqm.kind = AqmKind::kRed;
+    aqm.ecn = true;
+    aqm.red_min_pkts = 5.0;
+    aqm.red_max_pkts = 40.0;
+    aqm.red_weight = 0.01;
+  }
+  std::unique_ptr<MoccServing> service = served ? CreateService(spec) : nullptr;
+  PacketNetwork net(std::move(topology), /*seed=*/7);
+  std::vector<ServingConnId> conns;
+  std::vector<RlRateController*> ccs;
+  std::vector<int> flows;
+  for (int f = 0; f < kFlows; ++f) {
+    FlowOptions options;
+    options.start_time_s = 0.25 * f;
+    options.ecn_capable = ecn_link;
+    std::unique_ptr<CongestionControl> cc;
+    if (served) {
+      MoccServing::ConnectionOptions copts;
+      copts.initial_rate_bps = kInitialRate;
+      conns.push_back(service->AttachConnection(FlowWeight(f), copts));
+      cc = std::make_unique<ServingCc>(service.get(), conns.back());
+    } else {
+      auto controller = spec.MakeController(FlowWeight(f), kInitialRate);
+      ccs.push_back(controller.get());
+      cc = std::move(controller);
+    }
+    flows.push_back(net.AddFlow(std::move(cc), options));
+  }
+  net.Run(kSwitchS);
+  const WeightVector to = LatencyObjective().Sanitized();
+  for (int f = 0; f < kFlows; f += 2) {
+    if (served) {
+      service->SwitchObjective(conns[f], to);
+    } else {
+      ccs[f]->SetObservationPrefix({to.thr, to.lat, to.loss});
+    }
+  }
+  net.Run(kDurationS);
+
+  std::vector<SimFlowTrace> traces;
+  for (int f = 0; f < kFlows; ++f) {
+    const FlowRecord& rec = net.record(flows[f]);
+    SimFlowTrace trace;
+    trace.sent = rec.total_sent;
+    trace.acked = rec.total_acked;
+    trace.lost = rec.total_lost;
+    trace.marked = rec.total_marked;
+    const GuardedPolicy* guard = served ? service->Guard(conns[f]) : ccs[f]->guard();
+    if (guard != nullptr) {
+      trace.guard_trips = guard->trip_count();
+    }
+    trace.mis = rec.mi_samples();
+    traces.push_back(std::move(trace));
+  }
+  return traces;
+}
+
+void ExpectServedSimMatchesControllers(const MoccConfig& config, bool ecn_link) {
+  Rng rng(29);
+  auto model = std::make_shared<PreferenceActorCritic>(config, &rng);
+  for (const Precision precision :
+       {Precision::kDouble, Precision::kFloat32, Precision::kInt8}) {
+    for (const bool guard : {false, true}) {
+      SCOPED_TRACE(std::string(PrecisionName(precision)) +
+                   (guard ? " guarded" : " unguarded"));
+      PolicySpec spec;
+      spec.WithModel(model).WithPrecision(precision).WithGuard(guard);
+      const std::vector<SimFlowTrace> served = RunPacketSim(spec, ecn_link, true);
+      const std::vector<SimFlowTrace> dedicated = RunPacketSim(spec, ecn_link, false);
+      ASSERT_EQ(served.size(), dedicated.size());
+      int64_t marked = 0;
+      for (size_t f = 0; f < served.size(); ++f) {
+        SCOPED_TRACE("flow " + std::to_string(f));
+        const SimFlowTrace& a = served[f];
+        const SimFlowTrace& b = dedicated[f];
+        EXPECT_GT(a.sent, 0);
+        EXPECT_EQ(a.sent, b.sent);
+        EXPECT_EQ(a.acked, b.acked);
+        EXPECT_EQ(a.lost, b.lost);
+        EXPECT_EQ(a.marked, b.marked);
+        EXPECT_EQ(a.guard_trips, b.guard_trips);
+        EXPECT_EQ(a.guard_trips >= 0, guard);
+        ASSERT_EQ(a.mis.size(), b.mis.size());
+        for (size_t i = 0; i < a.mis.size(); ++i) {
+          ASSERT_EQ(a.mis[i].time_s, b.mis[i].time_s) << "MI " << i;
+          ASSERT_EQ(a.mis[i].send_rate_bps, b.mis[i].send_rate_bps) << "MI " << i;
+          ASSERT_EQ(a.mis[i].throughput_bps, b.mis[i].throughput_bps) << "MI " << i;
+          ASSERT_EQ(a.mis[i].avg_rtt_s, b.mis[i].avg_rtt_s) << "MI " << i;
+          ASSERT_EQ(a.mis[i].ecn_rate, b.mis[i].ecn_rate) << "MI " << i;
+        }
+        marked += a.marked;
+      }
+      // The ECN variant must actually exercise the mark channel.
+      EXPECT_EQ(marked > 0, ecn_link);
+    }
+  }
+}
+
+TEST(ServingEngineTest, PacketSimServedFlowsMatchPerFlowControllers) {
+  ExpectServedSimMatchesControllers(MoccConfig{}, /*ecn_link=*/false);
+}
+
+TEST(ServingEngineTest, PacketSimServedEcnFlowsMatchPerFlowControllers) {
+  MoccConfig config;
+  config.ecn_signal = true;
+  ExpectServedSimMatchesControllers(config, /*ecn_link=*/true);
 }
 
 // --- 5. Slab lifecycle: attach/detach/reattach determinism ------------------

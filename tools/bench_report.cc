@@ -76,76 +76,49 @@ int main() {
               simd::ForcedScalar() ? " (forced)" : "");
 
   // --- Single-observation inference throughput (Figure 17's budget). ---
-  // The two explicit-SIMD speedup gates ride on ratios of adjacent
-  // measurements, so a frequency shift on a shared vCPU can sink them
-  // spuriously; per the repo-wide remeasure rule a failing verdict gets
-  // remeasured (whole path set, per-field max) before it counts.
+  // The int8 speedup gate rides on a ratio of adjacent measurements, so a
+  // frequency shift on a shared vCPU can sink it spuriously; per the repo-wide
+  // remeasure rule a failing verdict gets remeasured (whole path set, per-field
+  // max) before it counts.
   InferencePathRates rates = MeasureInferencePaths(config);
-  constexpr double kF32VsAutovecGate = 1.3;   // explicit AVX2 vs -march=native autovec
   constexpr double kInt8VsF32Gate = 1.5;      // quantized row vs f32 row
   const bool scalar_tier = simd::ActiveTier() == simd::Tier::kScalar;
   for (int retry = 0; retry < 2 && !scalar_tier; ++retry) {
-    const bool f32_ok = rates.fast_row_f32_ops_per_sec >=
-                        kF32VsAutovecGate * rates.autovec_row_f32_ops_per_sec;
-    const bool int8_ok = rates.int8_row_ops_per_sec >=
-                         kInt8VsF32Gate * rates.fast_row_f32_ops_per_sec;
-    if (f32_ok && int8_ok) {
+    if (rates.int8_row_ops_per_sec >= kInt8VsF32Gate * rates.fast_row_f32_ops_per_sec) {
       break;
     }
     std::fprintf(stderr, "[bench] simd speedup gate remeasuring (attempt %d)\n",
                  retry + 1);
     const InferencePathRates again = MeasureInferencePaths(config);
-    rates.seed_batched_ops_per_sec =
-        std::max(rates.seed_batched_ops_per_sec, again.seed_batched_ops_per_sec);
     rates.batched_ops_per_sec = std::max(rates.batched_ops_per_sec, again.batched_ops_per_sec);
     rates.fast_row_ops_per_sec = std::max(rates.fast_row_ops_per_sec, again.fast_row_ops_per_sec);
     rates.fast_row_f32_ops_per_sec =
         std::max(rates.fast_row_f32_ops_per_sec, again.fast_row_f32_ops_per_sec);
-    rates.autovec_row_f32_ops_per_sec =
-        std::max(rates.autovec_row_f32_ops_per_sec, again.autovec_row_f32_ops_per_sec);
     rates.int8_row_ops_per_sec = std::max(rates.int8_row_ops_per_sec, again.int8_row_ops_per_sec);
   }
-  const double seed_ops = rates.seed_batched_ops_per_sec;
   const double batched_ops = rates.batched_ops_per_sec;
   const double row_ops = rates.fast_row_ops_per_sec;
   const double f32_ops = rates.fast_row_f32_ops_per_sec;
-  const double autovec_ops = rates.autovec_row_f32_ops_per_sec;
   const double int8_ops = rates.int8_row_ops_per_sec;
 
-  json.Add("inference_seed_batched_ops_per_sec", seed_ops);
   json.Add("inference_batched_ops_per_sec", batched_ops);
   json.Add("inference_fast_row_ops_per_sec", row_ops);
   json.Add("inference_fast_row_f32_ops_per_sec", f32_ops);
-  json.Add("inference_autovec_row_f32_ops_per_sec", autovec_ops);
   json.Add("inference_int8_row_ops_per_sec", int8_ops);
-  json.Add("fast_row_speedup_vs_seed_batched", seed_ops > 0.0 ? row_ops / seed_ops : 0.0);
   json.Add("fast_row_speedup_vs_batched", batched_ops > 0.0 ? row_ops / batched_ops : 0.0);
   json.Add("f32_row_speedup_vs_double_row", row_ops > 0.0 ? f32_ops / row_ops : 0.0);
-  json.Add("f32_row_speedup_vs_autovec", autovec_ops > 0.0 ? f32_ops / autovec_ops : 0.0);
   json.Add("int8_row_speedup_vs_f32", f32_ops > 0.0 ? int8_ops / f32_ops : 0.0);
   std::printf("single-obs inference ops/sec:\n");
-  std::printf("  seed batched path      %12.0f\n", seed_ops);
   std::printf("  batched (alloc-free)   %12.0f\n", batched_ops);
-  std::printf("  fused single-row       %12.0f  (%.1fx vs seed batched)\n", row_ops,
-              seed_ops > 0.0 ? row_ops / seed_ops : 0.0);
-  std::printf("  autovec f32 row (ref)  %12.0f\n", autovec_ops);
-  std::printf("  fused single-row f32   %12.0f  (%.2fx vs double row, %.2fx vs autovec)\n",
-              f32_ops, row_ops > 0.0 ? f32_ops / row_ops : 0.0,
-              autovec_ops > 0.0 ? f32_ops / autovec_ops : 0.0);
+  std::printf("  fused single-row       %12.0f  (%.1fx vs batched)\n", row_ops,
+              batched_ops > 0.0 ? row_ops / batched_ops : 0.0);
+  std::printf("  fused single-row f32   %12.0f  (%.2fx vs double row)\n", f32_ops,
+              row_ops > 0.0 ? f32_ops / row_ops : 0.0);
   std::printf("  int8 single-row        %12.0f  (%.2fx vs f32 row)\n", int8_ops,
               f32_ops > 0.0 ? int8_ops / f32_ops : 0.0);
-  if (!scalar_tier) {
-    if (f32_ops < kF32VsAutovecGate * autovec_ops) {
-      std::fprintf(stderr,
-                   "WARN: explicit-SIMD f32 row is only %.2fx the autovec "
-                   "reference (gate %.1fx)\n",
-                   autovec_ops > 0.0 ? f32_ops / autovec_ops : 0.0, kF32VsAutovecGate);
-    }
-    if (int8_ops < kInt8VsF32Gate * f32_ops) {
-      std::fprintf(stderr,
-                   "WARN: int8 row is only %.2fx the f32 row (gate %.1fx)\n",
-                   f32_ops > 0.0 ? int8_ops / f32_ops : 0.0, kInt8VsF32Gate);
-    }
+  if (!scalar_tier && int8_ops < kInt8VsF32Gate * f32_ops) {
+    std::fprintf(stderr, "WARN: int8 row is only %.2fx the f32 row (gate %.1fx)\n",
+                 f32_ops > 0.0 ? int8_ops / f32_ops : 0.0, kInt8VsF32Gate);
   }
 
   // --- Rollout collection scaling (Figure 19's mechanism). ---

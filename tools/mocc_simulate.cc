@@ -8,7 +8,7 @@
 // Heterogeneous objectives & online preference switching (MOCC flows only):
 //   --objectives assigns a different weight vector to each agent flow (cycled),
 //   overriding the scenario's objective plan; --switch schedules mid-run preference
-//   changes applied to the live controllers through SetObservationPrefix — the
+//   changes applied to the live connections through SwitchObjective — the
 //   paper's online adjustment, no retraining or restart. The final report decomposes
 //   each agent's steady-state behaviour into the Eq. (2) reward components
 //   (O_thr/O_lat/O_loss) under its own weight vector and prints Jain fairness within
@@ -23,7 +23,7 @@
 //   mocc_simulate --scheme NAME [--model PATH] [--weights T,L,S] [--bw MBPS] [--owd MS]
 //                 [--queue PKTS] [--loss FRAC] [--duration S] [--seed N]
 //                 [--mahimahi TRACE] [--scenario NAME] [--list-scenarios]
-//                 [--precision double|float32|int8] [--guard] [--serving]
+//                 [--precision double|float32|int8] [--guard]
 //                 [--objectives T,L,S[;T,L,S...]] [--switch TIME:T,L,S]...
 //                 [--fleet] [--shards N] [--episodes N] [--steps N] [--threads N]
 //
@@ -33,17 +33,18 @@
 //   bit-identical for any --threads value (1 = the serial reference).
 //
 //   NAME in {mocc, cubic, newreno, vegas, bbr, copa, allegro, vivace}
-//   --precision float32 runs MOCC's per-MI inference through the frozen float32
-//   deployment replica (src/rl/inference_policy.h) instead of the double path.
+//   MOCC agent flows all attach to one shared MoccServing instance (connection
+//   slab + shared replica, src/core/mocc_api.h) through the ServingCc adapter —
+//   the deployment inference path; its decisions are bit-identical to dedicated
+//   per-flow controllers (tests/serving_test.cc).
+//   --precision float32 / int8 runs MOCC's per-MI inference through the frozen
+//   float32 / int8 deployment replica (src/rl/inference_policy.h) instead of the
+//   double path.
 //   --guard wraps every MOCC flow's decisions in the GuardedPolicy circuit breaker
 //   (src/rl/guarded_policy.h): violations degrade the flow to a warm-standby CUBIC
 //   fallback with periodic half-open probes; trip/fallback/recovery counts are
 //   reported per flow. All MOCC knobs flow through one PolicySpec
-//   (src/core/policy_spec.h) — the same spec the serving layer consumes.
-//   --serving drives the agent flows through one shared MoccServing instance
-//   (connection slab + batched inference, src/core/mocc_api.h) instead of
-//   per-flow controllers; decisions are bit-identical, so timelines match the
-//   per-flow path exactly. Fault-injection scenarios (blackout, flaky-link,
+//   (src/core/policy_spec.h). Fault-injection scenarios (blackout, flaky-link,
 //   loss-burst) apply their FaultSpec to the bottleneck link here exactly as in
 //   training; AQM/ECN and wifi-jitter scenarios (red-ecn, codel, wifi-jitter,
 //   ...) mirror their bottleneck link models the same way, and MOCC agent flows
@@ -131,7 +132,6 @@ int main(int argc, char** argv) {
   bool link_flags_given = false;
   Precision precision = Precision::kDouble;
   bool guard = false;
-  bool serving = false;
   bool fleet = false;
   int fleet_shards = 8;
   int fleet_episodes = 1;
@@ -229,8 +229,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--guard") {
       guard = true;
-    } else if (arg == "--serving") {
-      serving = true;
     } else if (arg == "--fleet") {
       fleet = true;
     } else if (arg == "--shards") {
@@ -250,7 +248,7 @@ int main(int argc, char** argv) {
           "                     [--bw MBPS] [--owd MS] [--queue PKTS] [--loss FRAC]\n"
           "                     [--duration S] [--seed N] [--mahimahi TRACE]\n"
           "                     [--scenario NAME] [--list-scenarios]\n"
-          "                     [--precision double|float32|int8] [--guard] [--serving]\n"
+          "                     [--precision double|float32|int8] [--guard]\n"
           "                     [--objectives T,L,S[;T,L,S...]] [--switch TIME:T,L,S]\n"
           "                     [--fleet] [--shards N] [--episodes N] [--steps N]\n"
           "                     [--threads N]\n"
@@ -259,9 +257,9 @@ int main(int argc, char** argv) {
           "  pool (src/fleet/fleet.h) and prints per-shard and aggregate rollups;\n"
           "  results are bit-identical for any --threads (0 = all cores, 1 =\n"
           "  serial reference). MOCC only; the scenario defaults to many-flow.\n"
-          "  --serving drives MOCC agent flows through one shared serving instance\n"
-          "  (connection slab + batched inference) instead of per-flow controllers;\n"
-          "  decisions are bit-identical to the per-flow path.\n"
+          "  MOCC agent flows all attach to one shared serving instance (connection\n"
+          "  slab + shared replica); --precision picks its inference replica and\n"
+          "  --guard wraps each flow's decisions in the circuit breaker.\n"
           "  --objectives assigns agent flow i the i%%N-th weight triple (MOCC only),\n"
           "  overriding the scenario's objective plan; --switch (repeatable)\n"
           "  schedules an online preference change for every agent flow at TIME s.\n"
@@ -299,8 +297,8 @@ int main(int argc, char** argv) {
                      .Sample(&rng);
   }
 
-  // The agent-scheme factory: one controller per agent flow (MOCC flows share one
-  // loaded model).
+  // The agent scheme: MOCC flows share one loaded model (and, below, one serving
+  // instance); every other scheme gets a fresh controller per agent flow.
   std::shared_ptr<PreferenceActorCritic> model;
   if (scheme == "mocc") {
     model = PreferenceActorCritic::LoadFromFile(model_path, MoccConfig{});
@@ -321,13 +319,9 @@ int main(int argc, char** argv) {
   if (guard && scheme != "mocc") {
     std::fprintf(stderr, "warning: --guard only affects --scheme mocc\n");
   }
-  if (serving && scheme != "mocc") {
-    std::fprintf(stderr, "warning: --serving only affects --scheme mocc\n");
-    serving = false;
-  }
 
-  // All MOCC deployment knobs in one spec: the controller factory and the serving
-  // service are built from the same description.
+  // All MOCC deployment knobs in one spec: the serving service and the fleet are
+  // built from the same description.
   PolicySpec spec;
   spec.WithModel(model).WithPrecision(precision).WithGuard(guard).WithName("MOCC");
 
@@ -479,12 +473,11 @@ int main(int argc, char** argv) {
 
   std::vector<int> agent_flows;
   std::vector<int> competitor_flows;
-  // MOCC controllers stay addressable for online preference switching (owned by net).
-  std::vector<RlRateController*> agent_controllers;
-  // --serving: the shared service and each agent flow's connection handle.
+  // MOCC: the shared service and each agent flow's connection handle (kept for
+  // online preference switching and the guard report).
   std::unique_ptr<MoccServing> service;
   std::vector<ServingConnId> agent_conns;
-  if (serving && scheme == "mocc") {
+  if (scheme == "mocc") {
     service = CreateService(spec);
     if (service == nullptr) {
       return 1;
@@ -517,18 +510,13 @@ int main(int argc, char** argv) {
       agent_extra_delay[static_cast<size_t>(i)] = options.extra_one_way_delay_s;
     }
     std::unique_ptr<CongestionControl> cc;
-    if (scheme == "mocc" && serving) {
+    if (scheme == "mocc") {
       MoccServing::ConnectionOptions copts;
       copts.initial_rate_bps = initial_rate_bps;
       const ServingConnId conn =
           service->AttachConnection(agent_weights[static_cast<size_t>(i)], copts);
       agent_conns.push_back(conn);
       cc = std::make_unique<ServingCc>(service.get(), conn, "MOCC");
-    } else if (scheme == "mocc") {
-      auto controller =
-          spec.MakeController(agent_weights[static_cast<size_t>(i)], initial_rate_bps);
-      agent_controllers.push_back(controller.get());
-      cc = std::move(controller);
     } else {
       cc = MakeBaselineCc(scheme);
     }
@@ -549,7 +537,7 @@ int main(int argc, char** argv) {
   const int flow = agent_flows.front();
 
   // Segmented run: advance to each scheduled switch, apply the new preference to the
-  // live controllers (SetObservationPrefix — the online adjustment, no restart),
+  // live connections (SwitchObjective — the online adjustment, no restart),
   // then continue. Phase boundaries are kept for the phase report below.
   std::vector<double> phase_boundaries;
   for (const SwitchEvent& sw : switches) {
@@ -566,12 +554,7 @@ int main(int argc, char** argv) {
         continue;
       }
       const WeightVector to = sw.to.Sanitized();
-      if (serving) {
-        service->SwitchObjective(agent_conns[static_cast<size_t>(i)], to);
-      } else {
-        agent_controllers[static_cast<size_t>(i)]->SetObservationPrefix(
-            {to.thr, to.lat, to.loss});
-      }
+      service->SwitchObjective(agent_conns[static_cast<size_t>(i)], to);
       agent_weights[static_cast<size_t>(i)] = to;
     }
     std::fprintf(stderr, "switch @ %.1fs: %s -> %s\n", sw.time_s,
@@ -609,10 +592,8 @@ int main(int argc, char** argv) {
 
   // Guardrail report: per-flow circuit-breaker activity (only with --guard).
   if (guard && scheme == "mocc") {
-    const size_t guarded_agents = serving ? agent_conns.size() : agent_controllers.size();
-    for (size_t i = 0; i < guarded_agents; ++i) {
-      const GuardedPolicy* g =
-          serving ? service->Guard(agent_conns[i]) : agent_controllers[i]->guard();
+    for (size_t i = 0; i < agent_conns.size(); ++i) {
+      const GuardedPolicy* g = service->Guard(agent_conns[i]);
       const char* state = g->state() == GuardedPolicy::State::kClosed ? "closed"
                           : g->state() == GuardedPolicy::State::kOpen ? "open"
                                                                       : "half-open";
@@ -653,7 +634,7 @@ int main(int argc, char** argv) {
       static_cast<int>(agent_flows.size() + competitor_flows.size());
   const double fair_share_bps =
       link.bandwidth_bps / static_cast<double>(std::max(1, total_flows));
-  if (total_flows > 1 || !agent_controllers.empty()) {
+  if (total_flows > 1 || scheme == "mocc") {
     std::vector<double> agent_throughputs;
     for (size_t i = 0; i < agent_flows.size(); ++i) {
       const int f = agent_flows[i];
