@@ -56,11 +56,6 @@ double WallSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(end - start).count();
 }
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
 std::string JsonKey(std::string name) {
   for (char& c : name) {
     if (c == '-') {

@@ -193,6 +193,11 @@ double MeasureOpsPerSec(const std::function<void()>& fn, double min_seconds) {
   return elapsed > 0.0 ? static_cast<double>(calls) / elapsed : 0.0;
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 InferencePathRates MeasureInferencePaths(const MoccConfig& config) {
   Rng rng(1);
   PreferenceActorCritic model(config, &rng);

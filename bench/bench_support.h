@@ -103,6 +103,10 @@ class BenchJson {
 // measured calls/second.
 double MeasureOpsPerSec(const std::function<void()>& fn, double min_seconds = 0.2);
 
+// Median of a non-empty sample (the upper median for an even count) — the
+// statistic of the alternating-window methods in bench_fleet and bench_report.
+double Median(std::vector<double> values);
+
 // Single-observation inference throughput of the shipped policy-inference
 // paths: the allocation-free batched path, the fused single-row fast path, and
 // the float32 and int8 deployment replicas of the same single-row pass

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "src/nn/simd/dispatch.h"
 
@@ -156,27 +157,38 @@ void MatMulInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c) {
 
 template <typename T>
 void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c) {
+  MatMulTransposeBInto(a, b, b.rows(), c);
+}
+
+template <typename T>
+void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, size_t cols,
+                          MatrixT<T>* c) {
   assert(a.cols() == b.cols());
+  assert(cols <= b.rows());
   assert(c != &a && c != &b);
   const size_t m = a.rows();
   const size_t k_dim = a.cols();
-  const size_t n = b.rows();
-  c->Resize(m, n);
+  c->Resize(m, cols);
   T* cd = c->data();
   const T* ad = a.data();
   const T* bd = b.data();
-  // Both operands are traversed along contiguous rows (B is already the transposed
-  // layout), so each output is a unit-stride dot product.
-  for (size_t i = 0; i < m; ++i) {
-    const T* arow = ad + i * k_dim;
-    T* crow = cd + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const T* brow = bd + j * k_dim;
-      T sum = T(0);
-      for (size_t k = 0; k < k_dim; ++k) {
-        sum += arow[k] * brow[k];
+  if constexpr (std::is_same_v<T, double>) {
+    // Training's dX: the dispatched kernel with its pinned mul-then-add recipe.
+    simd::GemmNt(ad, bd, cd, m, k_dim, cols);
+  } else {
+    // Both operands are traversed along contiguous rows (B is already the
+    // transposed layout), so each output is a unit-stride dot product.
+    for (size_t i = 0; i < m; ++i) {
+      const T* arow = ad + i * k_dim;
+      T* crow = cd + i * cols;
+      for (size_t j = 0; j < cols; ++j) {
+        const T* brow = bd + j * k_dim;
+        T sum = T(0);
+        for (size_t k = 0; k < k_dim; ++k) {
+          sum += arow[k] * brow[k];
+        }
+        crow[j] = sum;
       }
-      crow[j] = sum;
     }
   }
 }
@@ -201,16 +213,21 @@ void MatMulTransposeAAccumulate(const MatrixT<T>& a, const MatrixT<T>& b, Matrix
   T* cd = c->data();
   const T* ad = a.data();
   const T* bd = b.data();
-  for (size_t r0 = 0; r0 < r_dim; r0 += kBlock) {
-    const size_t r1 = std::min(r_dim, r0 + kBlock);
-    for (size_t r = r0; r < r1; ++r) {
-      const T* arow = ad + r * m;
-      const T* brow = bd + r * n;
-      for (size_t i = 0; i < m; ++i) {
-        const T ari = arow[i];
-        T* crow = cd + i * n;
-        for (size_t j = 0; j < n; ++j) {
-          crow[j] += ari * brow[j];
+  if constexpr (std::is_same_v<T, double>) {
+    // Training's dW: the dispatched kernel with its pinned fma-chain recipe.
+    simd::GemmTnAcc(ad, bd, cd, r_dim, m, n);
+  } else {
+    for (size_t r0 = 0; r0 < r_dim; r0 += kBlock) {
+      const size_t r1 = std::min(r_dim, r0 + kBlock);
+      for (size_t r = r0; r < r1; ++r) {
+        const T* arow = ad + r * m;
+        const T* brow = bd + r * n;
+        for (size_t i = 0; i < m; ++i) {
+          const T ari = arow[i];
+          T* crow = cd + i * n;
+          for (size_t j = 0; j < n; ++j) {
+            crow[j] += ari * brow[j];
+          }
         }
       }
     }
@@ -323,6 +340,8 @@ double FrobeniusNorm(const MatrixT<T>& m) {
                                       const MatrixT<T>&, T*);                          \
   template void RowMatVecBias<T>(const T*, const T*, const T*, T*, size_t, size_t);    \
   template void MatMulTransposeBInto<T>(const MatrixT<T>&, const MatrixT<T>&,          \
+                                        MatrixT<T>*);                                  \
+  template void MatMulTransposeBInto<T>(const MatrixT<T>&, const MatrixT<T>&, size_t,  \
                                         MatrixT<T>*);                                  \
   template void MatMulTransposeAInto<T>(const MatrixT<T>&, const MatrixT<T>&,          \
                                         MatrixT<T>*);                                  \

@@ -111,6 +111,20 @@ using Matrix = MatrixT<double>;
 // bit-for-bit identical across batch sizes and blocking factors (per scalar type;
 // float and double results differ by rounding, which the precision test harness
 // bounds — tests/nn_float32_test.cc).
+//
+// The per-element recipe is explicit wherever training or inference bits depend
+// on it, so neither the compiler's contraction choices nor the SIMD tier can
+// move a trained checkpoint:
+//   * forward (RowMatVecBias and the batched MatMulBias paths): an ascending
+//     fma chain from 0, then the bias add;
+//   * training's dW (MatMulTransposeAAccumulate<double>): an ascending fma chain
+//     seeded with the existing gradient;
+//   * training's dX (MatMulTransposeBInto<double>): from +0.0, add each
+//     separately rounded product (mul, then add — never fused).
+// The double kernels are runtime-dispatched (src/nn/simd/dispatch.h) and every
+// tier computes these recipes bit-for-bit. The float backward instantiations
+// keep generic loops whose fusion is the compiler's choice; only the
+// float-vs-double tolerance tests use them.
 
 // C = A * B. Requires A.cols() == B.rows().
 template <typename T>
@@ -145,6 +159,13 @@ void RowMatVecBias(const T* x, const T* w, const T* b, T* y, size_t in, size_t o
 // C = A * B^T. Requires A.cols() == B.cols().
 template <typename T>
 void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>* c);
+
+// C = the leading `cols` columns of A * B^T (A.rows() x cols; cols <= B.rows()),
+// each bit-identical to the same column of the full product. A layer's dX only
+// needs the input columns an upstream network reads.
+template <typename T>
+void MatMulTransposeBInto(const MatrixT<T>& a, const MatrixT<T>& b, size_t cols,
+                          MatrixT<T>* c);
 
 // C = A^T * B. Requires A.rows() == B.rows().
 template <typename T>

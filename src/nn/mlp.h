@@ -44,6 +44,9 @@ enum class Activation {
   kRelu,
 };
 
+// BackwardInto's default dL/dX width: every input column.
+inline constexpr size_t kAllColumns = static_cast<size_t>(-1);
+
 // A trainable tensor together with its gradient accumulator.
 template <typename T>
 struct ParamRefT {
@@ -81,10 +84,15 @@ class DenseLayerT {
   // so both must stay alive and unmodified until then.
   void ForwardInto(const MatrixT<T>& x, MatrixT<T>* y);
 
-  // Allocation-free backward pass: accumulates dW/db and writes dL/dX into
-  // `grad_in` (which must not alias `grad_out`). Must follow a ForwardInto with the
-  // matching batch.
-  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in);
+  // Allocation-free backward pass: accumulates dW/db and writes the leading
+  // `grad_in_cols` columns of dL/dX (all of them by default) into `grad_in`
+  // (batch x min(grad_in_cols, in_dim()); must not alias `grad_out`). Each
+  // written column is bit-identical to the full product's. A null `grad_in`
+  // skips dL/dX entirely — the layer has no upstream parameters. The parameter
+  // gradients are the same whichever dL/dX is requested. Must follow a
+  // ForwardInto with the matching batch.
+  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in,
+                    size_t grad_in_cols = kAllColumns);
 
   // Fused single-row inference: y[0..out_dim()) = act(x · W + b), where x has
   // in_dim() elements. Pure (no caching); bit-for-bit equal to a 1-row ForwardInto.
@@ -161,8 +169,13 @@ class MlpT {
 
   // Allocation-free batched backward pass from dL/dY; accumulates parameter
   // gradients and writes dL/dX into `grad_in` so callers can chain into upstream
-  // sub-networks. Must follow a ForwardInto with the matching batch.
-  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in);
+  // sub-networks. Same dL/dX contract as DenseLayerT::BackwardInto (it applies
+  // to the first layer): `grad_in_cols` keeps only the leading input columns an
+  // upstream network reads, and a null `grad_in` skips the first layer's dX
+  // (the network's input is data, not parameters). Must follow a ForwardInto
+  // with the matching batch.
+  void BackwardInto(const MatrixT<T>& grad_out, MatrixT<T>* grad_in,
+                    size_t grad_in_cols = kAllColumns);
 
   // Fused single-row inference: out[0..out_dim()) from in[0..in_dim()). Uses
   // per-network scratch rows (zero allocation in steady state); bit-for-bit equal

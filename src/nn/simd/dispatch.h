@@ -1,11 +1,14 @@
-// Runtime-dispatched SIMD kernels for the inference hot paths.
+// Runtime-dispatched SIMD kernels for the NN hot paths.
 //
 // One binary, every microarchitecture: the build no longer relies on
-// -march=native auto-vectorization for the hot kernels. Instead the three hot
-// loops (RowMatVecBias / the batched row drivers, the FastTanh activation
-// sweeps, and the int8 quantized row GEMV) are compiled per ISA tier in their
-// own translation units (src/nn/simd/kernels_*.cc) and selected ONCE per
-// process by CPUID:
+// -march=native auto-vectorization for the hot kernels. Instead the hot loops
+// are compiled per ISA tier in their own translation units
+// (src/nn/simd/kernels_*.cc) and selected ONCE per process by CPUID:
+//   * inference: RowMatVecBias / the batched row paths, the FastTanh
+//     activation sweeps, and the int8 quantized row GEMV;
+//   * double-precision training: the two backward GEMMs of every dense layer,
+//     dW += Xᵀ·dY (GemmTnAcc) and dX = dY·Wᵀ (GemmNt, optionally only the
+//     leading input columns an upstream network reads).
 //
 //   x86-64:  AVX2+FMA -> kAvx2; else SSSE3 -> kSsse3 (int8 GEMV only, float
 //            kernels stay scalar); else kScalar.
@@ -22,10 +25,11 @@
 // the vector tiers execute the same sequence lane-for-lane; the int8 kernels
 // are exact integer arithmetic. tests/simd_dispatch_test.cc asserts equality
 // (EXPECT_EQ, not tolerance) between the scalar tier and every tier the host
-// supports, so "which CPU ran this" can never change an inference result —
-// only how fast it was produced. Consequence: dispatch stays process-wide
-// constant, so the serial-vs-thread-pool and batch-vs-row bit-identity
-// contracts of the NN substrate are unaffected by which tier is active.
+// supports, so "which CPU ran this" can never change an inference result or a
+// trained checkpoint — only how fast it was produced. Consequence: dispatch
+// stays process-wide constant, so the serial-vs-thread-pool and batch-vs-row
+// bit-identity contracts of the NN substrate are unaffected by which tier is
+// active.
 #ifndef MOCC_SRC_NN_SIMD_DISPATCH_H_
 #define MOCC_SRC_NN_SIMD_DISPATCH_H_
 
@@ -87,6 +91,16 @@ struct Kernels {
   void (*int8_post_tanh)(const int32_t* acc, const int32_t* col_sums,
                          const float* scales, float sx, const float* bias,
                          size_t out, float* f_out, uint8_t* q_out);
+  // dW += Xᵀ·dY: c (m x n) += aᵀ·b for a (r x m) and b (r x n), row-major.
+  // Each c element is one ascending-r fma chain seeded with its old value.
+  void (*gemm_tn_acc_f64)(const double* a, const double* b, double* c, size_t r,
+                          size_t m, size_t n);
+  // dX = dY·Wᵀ, leading columns: c (m x cols) = a·b[0:cols)ᵀ for a (m x k) and
+  // b (at least cols rows x k), row-major. Each c element starts at +0.0 and
+  // adds the separately rounded products over ascending k (mul, then add;
+  // never fused).
+  void (*gemm_nt_f64)(const double* a, const double* b, double* c, size_t m,
+                      size_t k, size_t cols);
 };
 
 // The tier selected for this process (CPUID + MOCC_FORCE_SCALAR, resolved once
@@ -150,6 +164,16 @@ inline void Int8PostTanh(const int32_t* acc, const int32_t* col_sums,
                          const float* scales, float sx, const float* bias,
                          size_t out, float* f_out, uint8_t* q_out) {
   Active().int8_post_tanh(acc, col_sums, scales, sx, bias, out, f_out, q_out);
+}
+
+inline void GemmTnAcc(const double* a, const double* b, double* c, size_t r,
+                      size_t m, size_t n) {
+  Active().gemm_tn_acc_f64(a, b, c, r, m, n);
+}
+
+inline void GemmNt(const double* a, const double* b, double* c, size_t m, size_t k,
+                   size_t cols) {
+  Active().gemm_nt_f64(a, b, c, m, k, cols);
 }
 
 }  // namespace simd

@@ -16,6 +16,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -242,6 +243,174 @@ void Avx2RowMatVecBiasF64(const double* x, const double* w, const double* b,
       acc = std::fma(x[k], *wp, acc);
     }
     y[j0] = acc + b[j0];
+  }
+}
+
+// ---------------------------------------------------------------------------
+// dW += Xᵀ·dY (RefGemmTnAccF64 mirror): an RI x (4·NJ) register tile of c
+// whose every lane runs its element's ascending-r fma chain, seeded from c.
+// One row of b (NJ loads) and RI broadcasts of a feed RI·NJ independent fmas
+// per r. The r range is walked in kTnChunk-row chunks so the a and b rows
+// the tiles re-read stay L1-resident (32 minibatch rows of the 46->64 layer
+// are 28 KiB); each chunk continues the chains from the partial sums stored
+// in c, which is exact, so chunking is invisible in the result.
+// ---------------------------------------------------------------------------
+
+template <int RI, int NJ>
+inline void Avx2TnTile(const double* a, const double* b, double* c, size_t r_dim,
+                       size_t m, size_t n, size_t i0, size_t j0) {
+  __m256d acc[RI][NJ];
+  for (int ii = 0; ii < RI; ++ii) {
+    for (int v = 0; v < NJ; ++v) {
+      acc[ii][v] = _mm256_loadu_pd(c + (i0 + ii) * n + j0 + 4 * v);
+    }
+  }
+  for (size_t r = 0; r < r_dim; ++r) {
+    const double* brow = b + r * n + j0;
+    const double* arow = a + r * m + i0;
+    __m256d bv[NJ];
+    for (int v = 0; v < NJ; ++v) {
+      bv[v] = _mm256_loadu_pd(brow + 4 * v);
+    }
+    for (int ii = 0; ii < RI; ++ii) {
+      const __m256d ai = _mm256_broadcast_sd(arow + ii);
+      for (int v = 0; v < NJ; ++v) {
+        acc[ii][v] = _mm256_fmadd_pd(ai, bv[v], acc[ii][v]);
+      }
+    }
+  }
+  for (int ii = 0; ii < RI; ++ii) {
+    for (int v = 0; v < NJ; ++v) {
+      _mm256_storeu_pd(c + (i0 + ii) * n + j0 + 4 * v, acc[ii][v]);
+    }
+  }
+}
+
+// One tile row-block [i0, i0+RI) across all n columns: 8-wide tiles, then a
+// 4-wide tile, then scalar chains for the last n % 4 columns.
+template <int RI>
+inline void Avx2TnRows(const double* a, const double* b, double* c, size_t r_dim,
+                       size_t m, size_t n, size_t i0) {
+  size_t j0 = 0;
+  for (; j0 + 8 <= n; j0 += 8) Avx2TnTile<RI, 2>(a, b, c, r_dim, m, n, i0, j0);
+  for (; j0 + 4 <= n; j0 += 4) Avx2TnTile<RI, 1>(a, b, c, r_dim, m, n, i0, j0);
+  for (; j0 < n; ++j0) {
+    for (int ii = 0; ii < RI; ++ii) {
+      double acc = c[(i0 + ii) * n + j0];
+      for (size_t r = 0; r < r_dim; ++r) {
+        acc = std::fma(a[r * m + i0 + ii], b[r * n + j0], acc);
+      }
+      c[(i0 + ii) * n + j0] = acc;
+    }
+  }
+}
+
+constexpr size_t kTnChunk = 32;
+
+void Avx2GemmTnAccChunk(const double* a, const double* b, double* c, size_t r_dim,
+                        size_t m, size_t n) {
+  size_t i0 = 0;
+  for (; i0 + 4 <= m; i0 += 4) Avx2TnRows<4>(a, b, c, r_dim, m, n, i0);
+  for (; i0 < m; ++i0) Avx2TnRows<1>(a, b, c, r_dim, m, n, i0);
+}
+
+void Avx2GemmTnAccF64(const double* a, const double* b, double* c, size_t r_dim,
+                      size_t m, size_t n) {
+  for (size_t r0 = 0; r0 < r_dim; r0 += kTnChunk) {
+    Avx2GemmTnAccChunk(a + r0 * m, b + r0 * n, c, std::min(kTnChunk, r_dim - r0), m, n);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// dX = dY·Wᵀ, leading `cols` columns (RefGemmNtF64 mirror). b is row-major
+// (cols x k) so a column of c reads a contiguous row of b; to put 4 columns in
+// one register, each kNtWidth-column panel of b is first packed k-major into a
+// stack buffer (bᵀ, kNtChunk k-values at a time — no heap workspace); the
+// last cols % kNtWidth columns run as scalar chains. Every lane runs its
+// element's chain: +0.0, then add the rounded product for ascending k. A chunk
+// boundary stores the partial sums to c and reloads them, which is exact, so
+// the chunking is invisible in the result.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kNtChunk = 64;
+constexpr size_t kNtWidth = 16;  // columns per packed panel: 4 registers
+
+// Rounded product, kept out of the following add: see RoundedProduct in
+// scalar_kernels.inc. Without the barrier, _mm256_add_pd(_mm256_mul_pd(..))
+// is only unfused for as long as -ffp-contract=off reaches the code that
+// finally emits it.
+inline __m256d Avx2RoundedProduct(__m256d x, __m256d y) {
+  __m256d p = _mm256_mul_pd(x, y);
+  asm("" : "+x"(p));
+  return p;
+}
+
+// Rows [i0, i0+RI) of one packed panel: RI·16 independent add chains.
+template <int RI>
+inline void Avx2NtRows(const double* a, const double* bt, double* c, size_t k,
+                       size_t cols, size_t i0, size_t j0, size_t k0, size_t kc) {
+  constexpr int NV = kNtWidth / 4;
+  __m256d acc[RI][NV];
+  for (int ii = 0; ii < RI; ++ii) {
+    for (int v = 0; v < NV; ++v) {
+      acc[ii][v] = k0 == 0 ? _mm256_setzero_pd()
+                           : _mm256_loadu_pd(c + (i0 + ii) * cols + j0 + 4 * v);
+    }
+  }
+  for (size_t kk = 0; kk < kc; ++kk) {
+    __m256d bv[NV];
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = _mm256_load_pd(bt + kk * 4 * NV + 4 * v);
+    }
+    for (int ii = 0; ii < RI; ++ii) {
+      const __m256d ai = _mm256_broadcast_sd(a + (i0 + ii) * k + k0 + kk);
+      for (int v = 0; v < NV; ++v) {
+        acc[ii][v] = _mm256_add_pd(acc[ii][v], Avx2RoundedProduct(ai, bv[v]));
+      }
+    }
+  }
+  for (int ii = 0; ii < RI; ++ii) {
+    for (int v = 0; v < NV; ++v) {
+      _mm256_storeu_pd(c + (i0 + ii) * cols + j0 + 4 * v, acc[ii][v]);
+    }
+  }
+}
+
+inline void Avx2NtPanel(const double* a, const double* b, double* c, size_t m,
+                        size_t k, size_t cols, size_t j0) {
+  alignas(32) double bt[kNtChunk * kNtWidth];
+  for (size_t k0 = 0; k0 < k; k0 += kNtChunk) {
+    const size_t kc = std::min(kNtChunk, k - k0);
+    for (size_t t = 0; t < kNtWidth; ++t) {
+      const double* brow = b + (j0 + t) * k + k0;
+      for (size_t kk = 0; kk < kc; ++kk) {
+        bt[kk * kNtWidth + t] = brow[kk];
+      }
+    }
+    size_t i0 = 0;
+    for (; i0 + 2 <= m; i0 += 2) Avx2NtRows<2>(a, bt, c, k, cols, i0, j0, k0, kc);
+    for (; i0 < m; ++i0) Avx2NtRows<1>(a, bt, c, k, cols, i0, j0, k0, kc);
+  }
+}
+
+void Avx2GemmNtF64(const double* a, const double* b, double* c, size_t m, size_t k,
+                   size_t cols) {
+  if (k == 0) {
+    std::fill(c, c + m * cols, 0.0);
+    return;
+  }
+  size_t j0 = 0;
+  for (; j0 + kNtWidth <= cols; j0 += kNtWidth) Avx2NtPanel(a, b, c, m, k, cols, j0);
+  for (; j0 < cols; ++j0) {
+    const double* brow = b + j0 * k;
+    for (size_t i = 0; i < m; ++i) {
+      const double* arow = a + i * k;
+      double sum = 0.0;
+      for (size_t kk = 0; kk < k; ++kk) {
+        sum = sum + RoundedProduct(arow[kk], brow[kk]);
+      }
+      c[i * cols + j0] = sum;
+    }
   }
 }
 
@@ -521,7 +690,8 @@ void Avx2Int8PostTanh(const int32_t* acc, const int32_t* col_sums,
 constexpr Kernels kTable = {
     Avx2RowMatVecBiasF32, Avx2RowMatVecBiasF64, Avx2RowMatVecSeededF32,
     Avx2TanhArrayF32,     Avx2TanhArrayF64,     Avx2Int8QuantizeRow,
-    Avx2Int8Gemv,         Avx2Int8PostTanh,
+    Avx2Int8Gemv,         Avx2Int8PostTanh,     Avx2GemmTnAccF64,
+    Avx2GemmNtF64,
 };
 
 }  // namespace

@@ -71,8 +71,9 @@ void MlpActorCritic::Forward(const Matrix& obs, Matrix* mean, Matrix* value) {
 }
 
 void MlpActorCritic::Backward(const Matrix& dmean, const Matrix& dvalue) {
-  actor_.BackwardInto(dmean, &dx_scratch_);
-  critic_.BackwardInto(dvalue, &dx_scratch_);
+  // The observation has no upstream parameters: skip both dL/dX.
+  actor_.BackwardInto(dmean, nullptr);
+  critic_.BackwardInto(dvalue, nullptr);
 }
 
 void MlpActorCritic::ForwardRow(const std::vector<double>& obs, double* mean, double* value) {

