@@ -3,6 +3,23 @@
 #include <algorithm>
 
 namespace mocc {
+namespace {
+
+// True on a thread while it may be running a ParallelFor task: always on pool
+// workers, and on a caller while it takes part in its own job. A ParallelFor
+// issued there runs inline instead of waiting for a pool that is busy with (or
+// locked by) the outer job.
+thread_local bool tls_in_task = false;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   const int workers = std::max(1, num_threads) - 1;
@@ -16,6 +33,7 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
+    epoch_signal_.fetch_add(1, std::memory_order_release);
   }
   work_cv_.notify_all();
   for (auto& w : workers_) {
@@ -24,6 +42,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
+  tls_in_task = true;
   uint64_t seen_epoch = 0;
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
@@ -57,6 +76,19 @@ void ThreadPool::WorkerLoop() {
     if (completed_ == n_ && active_ == 0) {
       done_cv_.notify_all();
     }
+    // Poll for the next job before sleeping: fork-joins often come in quick
+    // succession, and a sleeping worker is slow to wake. While polling_ counts
+    // this worker, ParallelFor does not spend a notification on it; the wait
+    // above picks up any job published meanwhile.
+    ++polling_;
+    lk.unlock();
+    const auto deadline = std::chrono::steady_clock::now() + kPollWindow;
+    while (epoch_signal_.load(std::memory_order_acquire) == seen_epoch &&
+           std::chrono::steady_clock::now() < deadline) {
+      CpuRelax();
+    }
+    lk.lock();
+    --polling_;
   }
 }
 
@@ -64,13 +96,14 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) {
     return;
   }
-  if (workers_.empty() || n == 1) {
+  if (workers_.empty() || n == 1 || tls_in_task) {
     for (int i = 0; i < n; ++i) {
       fn(i);
     }
     return;
   }
   std::lock_guard<std::mutex> run_lock(run_mu_);
+  int wake = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
     fn_ = &fn;
@@ -79,12 +112,21 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     active_ = 0;
     next_.store(0, std::memory_order_relaxed);
     ++epoch_;
+    epoch_signal_.store(epoch_, std::memory_order_release);
+    // The caller runs tasks too, so n - 1 helpers suffice; polling workers
+    // adopt the job on their own.
+    wake = std::min(n - 1, static_cast<int>(workers_.size())) - polling_;
+    wake = std::max(0, wake);
+    wakeups_ += static_cast<uint64_t>(wake);
   }
-  work_cv_.notify_all();
+  for (int w = 0; w < wake; ++w) {
+    work_cv_.notify_one();
+  }
   // The caller participates in the job, then waits until every task is done AND
   // no worker still holds a reference to this job (a woken worker that adopted
   // the epoch but has not claimed an index yet counts as active, so returning —
   // and destroying `fn` — before it finishes is impossible).
+  tls_in_task = true;
   int done = 0;
   while (true) {
     const int i = next_.fetch_add(1, std::memory_order_relaxed);
@@ -94,15 +136,18 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     fn(i);
     ++done;
   }
+  tls_in_task = false;
   std::unique_lock<std::mutex> lk(mu_);
   completed_ += done;
-  if (completed_ == n_ && active_ == 0) {
-    done_cv_.notify_all();
-  }
   done_cv_.wait(lk, [&] { return completed_ == n_ && active_ == 0; });
   // Retire the job before releasing the lock so late-waking workers skip it.
   fn_ = nullptr;
   n_ = 0;
+}
+
+uint64_t ThreadPool::wakeups() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return wakeups_;
 }
 
 ThreadPool& ThreadPool::Shared() {

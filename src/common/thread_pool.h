@@ -1,6 +1,22 @@
-// A small persistent thread pool for batched fan-out work (parallel rollout
-// collection). Workers are started once and reused, so per-iteration dispatch costs
-// a couple of condition-variable signals instead of thread creation.
+// A small persistent thread pool for fork-join fan-out work: parallel rollout
+// collection (one task per env), fleet shards, and the two independent heads of
+// every PPO minibatch's batched forward and backward pass. Workers are started
+// once and reused, so a dispatch costs a couple of condition-variable signals
+// instead of thread creation.
+//
+// Wake-up cost
+// ------------
+// A training update issues two short fork-joins (a few hundred microseconds of
+// work each) per minibatch, back to back. Waking a sleeping worker can cost as
+// much as the task itself on a virtualized host, so:
+//  * a worker that has just run a task polls for the next job for a bounded
+//    window (kPollWindow, about half a millisecond) before it sleeps on the
+//    condition variable; the next fork-join finds it awake;
+//  * ParallelFor(n) wakes at most n - 1 sleeping workers (the caller runs tasks
+//    too), minus the workers that are still polling, instead of every worker.
+// Neither changes which tasks run or what they compute: the caller keeps
+// claiming indices until all are taken, so a worker that never shows up only
+// costs parallelism.
 //
 // Determinism contract
 // --------------------
@@ -8,19 +24,22 @@
 // parallel computation to be reproducible (and identical to running the same tasks
 // sequentially), callers must ensure:
 //  1. Each task owns all of its mutable state — in this codebase, a cloned model,
-//     its own Env, and its own Rng stream. Tasks must not share mutable state or
-//     synchronize with one another.
+//     its own Env, and its own Rng stream, or one of a model's two heads with its
+//     own workspaces. Tasks must not share mutable state or synchronize with one
+//     another.
 //  2. Every per-task Rng stream is seeded ON THE CALLER THREAD, in task-index
 //     order, BEFORE dispatch (e.g. `rngs[i] = Rng(master.NextU64())`). Seeding
 //     inside the task would make the draw order depend on scheduling.
 //  3. Task i writes only to slot i of the result vector.
 // Under this contract ParallelFor(n, fn) produces bit-identical results for any
 // thread count, including the serial fallback (pool size 1), regardless of OS
-// scheduling. PpoTrainer::CollectRolloutsParallel and the offline trainer follow it.
+// scheduling. PpoTrainer::CollectRolloutsParallel, the offline trainer, RunFleet
+// and HeadSplit (src/rl/actor_critic.h) follow it.
 #ifndef MOCC_SRC_COMMON_THREAD_POOL_H_
 #define MOCC_SRC_COMMON_THREAD_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -32,6 +51,10 @@ namespace mocc {
 
 class ThreadPool {
  public:
+  // How long a worker that just finished a task keeps polling for the next job
+  // before it sleeps.
+  static constexpr std::chrono::microseconds kPollWindow{500};
+
   // Starts a pool that can run `num_threads` tasks concurrently (the calling
   // thread participates, so num_threads - 1 workers are spawned). num_threads < 1
   // is clamped to 1 (pure serial execution, no workers).
@@ -47,9 +70,15 @@ class ThreadPool {
   // Runs fn(0), ..., fn(n-1) across the pool and blocks until all have finished.
   // Indices are claimed dynamically (an atomic counter), so per-task load imbalance
   // is absorbed. The calling thread executes tasks too. Concurrent ParallelFor
-  // calls from different threads are serialized internally. Exceptions thrown by
-  // `fn` are not caught — tasks must not throw.
+  // calls from different threads are serialized internally. A ParallelFor issued
+  // from inside a task (of any pool) runs its tasks inline on that thread, so
+  // nesting cannot deadlock. Exceptions thrown by `fn` are not caught — tasks must
+  // not throw.
   void ParallelFor(int n, const std::function<void(int)>& fn);
+
+  // Condition-variable notifications ParallelFor has issued to wake sleeping
+  // workers over the pool's lifetime (each wakes at most one worker).
+  uint64_t wakeups() const;
 
   // Process-wide pool sized to the hardware concurrency. Created on first use.
   static ThreadPool& Shared();
@@ -60,16 +89,21 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex run_mu_;  // serializes ParallelFor calls
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   const std::function<void(int)>* fn_ = nullptr;  // current job; null = retired
   int n_ = 0;
   int completed_ = 0;
-  int active_ = 0;  // workers currently holding a reference to the job
+  int active_ = 0;   // workers currently holding a reference to the job
+  int polling_ = 0;  // workers in their poll window (they need no notification)
   uint64_t epoch_ = 0;
+  uint64_t wakeups_ = 0;
   bool stop_ = false;
   std::atomic<int> next_{0};
+  // Mirror of epoch_ that polling workers read without the lock; the destructor
+  // bumps it too so a polling worker notices stop_ at once.
+  std::atomic<uint64_t> epoch_signal_{0};
 };
 
 }  // namespace mocc

@@ -94,8 +94,12 @@ void PreferenceActorCritic::BackwardHead(Head* head, const Matrix& grad_out) {
 
 void PreferenceActorCritic::Forward(const Matrix& obs, Matrix* mean, Matrix* value) {
   assert(obs.cols() == obs_dim_);
-  ForwardHeadInto(&actor_, obs, mean);
-  ForwardHeadInto(&critic_, obs, value);
+  // Outputs are sized here so the head tasks never allocate.
+  mean->Resize(obs.rows(), 1);
+  value->Resize(obs.rows(), 1);
+  forward_split_.Run(
+      obs.rows(), [&] { ForwardHeadInto(&actor_, obs, mean); },
+      [&] { ForwardHeadInto(&critic_, obs, value); });
 }
 
 void PreferenceActorCritic::ForwardRow(const std::vector<double>& obs, double* mean,
@@ -112,8 +116,9 @@ void PreferenceActorCritic::ForwardRowActor(const std::vector<double>& obs,
 }
 
 void PreferenceActorCritic::Backward(const Matrix& dmean, const Matrix& dvalue) {
-  BackwardHead(&actor_, dmean);
-  BackwardHead(&critic_, dvalue);
+  backward_split_.Run(
+      dmean.rows(), [&] { BackwardHead(&actor_, dmean); },
+      [&] { BackwardHead(&critic_, dvalue); });
 }
 
 std::vector<ParamRef> PreferenceActorCritic::Params() {

@@ -97,6 +97,8 @@ class PreferenceActorCritic : public ActorCritic {
   Head critic_;
   Matrix log_std_{1, 1};
   Matrix log_std_grad_{1, 1};
+  HeadSplit forward_split_;
+  HeadSplit backward_split_;
 };
 
 }  // namespace mocc

@@ -66,14 +66,19 @@ MlpActorCritic::MlpActorCritic(size_t obs_dim, Rng* rng, std::vector<size_t> hid
 
 void MlpActorCritic::Forward(const Matrix& obs, Matrix* mean, Matrix* value) {
   assert(obs.cols() == obs_dim_);
-  actor_.ForwardInto(obs, mean);
-  critic_.ForwardInto(obs, value);
+  // Outputs are sized here so the head tasks never allocate.
+  mean->Resize(obs.rows(), 1);
+  value->Resize(obs.rows(), 1);
+  forward_split_.Run(
+      obs.rows(), [&] { actor_.ForwardInto(obs, mean); },
+      [&] { critic_.ForwardInto(obs, value); });
 }
 
 void MlpActorCritic::Backward(const Matrix& dmean, const Matrix& dvalue) {
   // The observation has no upstream parameters: skip both dL/dX.
-  actor_.BackwardInto(dmean, nullptr);
-  critic_.BackwardInto(dvalue, nullptr);
+  backward_split_.Run(
+      dmean.rows(), [&] { actor_.BackwardInto(dmean, nullptr); },
+      [&] { critic_.BackwardInto(dvalue, nullptr); });
 }
 
 void MlpActorCritic::ForwardRow(const std::vector<double>& obs, double* mean, double* value) {

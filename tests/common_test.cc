@@ -1,7 +1,10 @@
 // Unit tests for the common substrate: RNG determinism and distributions, statistics,
-// binary serialization, and table formatting.
+// binary serialization, table formatting, and the thread pool's fork-join.
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,7 @@
 #include "src/common/serialization.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
+#include "src/common/thread_pool.h"
 
 namespace mocc {
 namespace {
@@ -319,6 +323,79 @@ TEST(TableTest, AlignsAndCounts) {
   std::ostringstream csv;
   t.PrintCsv(csv);
   EXPECT_NE(csv.str().find("name,value"), std::string::npos);
+}
+
+// No timing assertions here: only what ran, how often, and what the pool asked
+// of the OS. A lost wake-up or a worker that never leaves its poll would hang
+// the test (and trip the ctest timeout) rather than fail an inequality.
+TEST(ThreadPoolTest, EveryIndexRunsOnceWithAtMostNMinusOneWakeups) {
+  ThreadPool pool(3);  // two workers + the caller
+  const int workers = pool.size() - 1;
+  for (int n : {2, 3, 7, 64}) {
+    std::vector<std::atomic<int>> runs(static_cast<size_t>(n));
+    const uint64_t before = pool.wakeups();
+    pool.ParallelFor(n, [&](int i) { runs[static_cast<size_t>(i)].fetch_add(1); });
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[static_cast<size_t>(i)].load(), 1) << "n=" << n << " index " << i;
+    }
+    const uint64_t wakeups = pool.wakeups() - before;
+    EXPECT_LE(wakeups, static_cast<uint64_t>(n - 1)) << "n=" << n;
+    EXPECT_LE(wakeups, static_cast<uint64_t>(workers)) << "n=" << n;
+  }
+}
+
+TEST(ThreadPoolTest, TwoTaskJobOnALargerPoolWakesAtMostOneWorker) {
+  ThreadPool pool(4);
+  const uint64_t before = pool.wakeups();
+  for (int job = 0; job < 50; ++job) {
+    pool.ParallelFor(2, [](int) {});
+  }
+  EXPECT_LE(pool.wakeups() - before, 50u);
+}
+
+TEST(ThreadPoolTest, BackToBackPairJobsReturnPerSlotResults) {
+  ThreadPool pool(4);
+  for (int job = 0; job < 2000; ++job) {
+    double slots[2] = {-1.0, -1.0};
+    pool.ParallelFor(2, [&](int i) {
+      double acc = 0.0;
+      for (int k = 0; k <= (job % 7) * 50; ++k) {
+        acc += static_cast<double>(k * (i + 1));
+      }
+      slots[i] = acc + job;
+    });
+    for (int i = 0; i < 2; ++i) {
+      const int last = (job % 7) * 50;
+      const double expected = static_cast<double>(last) * (last + 1) / 2.0 * (i + 1) + job;
+      ASSERT_EQ(slots[i], expected) << "job " << job << " slot " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, PoolsDestroyedRightAfterAJobAllComplete) {
+  // The destructor must get every worker out of its poll window and joined.
+  int completed = 0;
+  for (int p = 0; p < 1000; ++p) {
+    ThreadPool pool(3);
+    std::atomic<int> ran{0};
+    pool.ParallelFor(3, [&](int) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 3) << "pool " << p;
+    ++completed;
+  }
+  EXPECT_EQ(completed, 1000);
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> runs(12);
+  pool.ParallelFor(3, [&](int outer) {
+    pool.ParallelFor(4, [&](int inner) {
+      runs[static_cast<size_t>(outer * 4 + inner)].fetch_add(1);
+    });
+  });
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+  }
 }
 
 }  // namespace

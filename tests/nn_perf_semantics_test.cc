@@ -2,7 +2,8 @@
 // ForwardInto/BackwardInto pair and the fused single-row ForwardRow must match the
 // batched reference bit-for-bit (same floating-point operation order), and parallel
 // rollout collection must be deterministic — bit-identical to serial collection and
-// reproducible across runs under a fixed seed.
+// reproducible across runs under a fixed seed. Splitting a minibatch's two heads
+// across the shared thread pool must not move a bit either.
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -316,6 +317,85 @@ TEST(NnFastPathTest, PnCacheStaysCoherentAcrossWeightChanges) {
   std::vector<double> w2 = {0.1, 0.6, 0.3};
   std::copy(w2.begin(), w2.end(), obs.begin());
   EXPECT_EQ(model.ActionMean(obs), batched_mean(&model));
+}
+
+// Runs the minibatch Forward + Backward of a fresh Clone of `model` (its first
+// pass at a row count runs both heads on the calling thread) as the reference,
+// then the same pass three times back to back on `model`, whose earlier 256-row
+// pass makes each of these take the pool path, one head per task. Back to back,
+// the worker that ran the last head is still polling, so the heads overlap.
+// Outputs and parameter gradients must be bit-identical to the reference.
+void ExpectPoolHeadsMatchSerial(ActorCritic* model, size_t rows, Rng* rng) {
+  Matrix obs(rows, model->obs_dim());
+  obs.FillNormal(rng, 1.0);
+  Matrix dmean(rows, 1);
+  Matrix dvalue(rows, 1);
+  dmean.FillNormal(rng, 1.0);
+  dvalue.FillNormal(rng, 1.0);
+
+  std::unique_ptr<ActorCritic> serial = model->Clone();
+  Matrix mean_serial;
+  Matrix value_serial;
+  serial->ZeroGrad();
+  serial->Forward(obs, &mean_serial, &value_serial);
+  serial->Backward(dmean, dvalue);
+  auto serial_params = serial->Params();
+
+  Matrix mean_pool;
+  Matrix value_pool;
+  for (int pass = 0; pass < 3; ++pass) {
+    model->ZeroGrad();
+    model->Forward(obs, &mean_pool, &value_pool);
+    model->Backward(dmean, dvalue);
+    ASSERT_EQ(mean_pool.rows(), rows);
+    ASSERT_EQ(value_pool.rows(), rows);
+    for (size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(mean_pool(r, 0), mean_serial(r, 0)) << rows << " rows, row " << r;
+      ASSERT_EQ(value_pool(r, 0), value_serial(r, 0)) << rows << " rows, row " << r;
+    }
+    auto pool_params = model->Params();
+    ASSERT_EQ(pool_params.size(), serial_params.size());
+    for (size_t p = 0; p < pool_params.size(); ++p) {
+      const Matrix& g_pool = *pool_params[p].grad;
+      const Matrix& g_serial = *serial_params[p].grad;
+      ASSERT_EQ(g_pool.size(), g_serial.size());
+      for (size_t i = 0; i < g_pool.size(); ++i) {
+        ASSERT_EQ(g_pool.data()[i], g_serial.data()[i])
+            << rows << " rows, param " << p << " element " << i;
+      }
+    }
+  }
+}
+
+void ExpectHeadSplitBitIdentical(ActorCritic* model, Rng* rng) {
+  // The first 256-row pass runs on the calling thread and sizes the workspaces;
+  // from then on every pass of <= 256 rows splits the heads across the pool.
+  Matrix warm(256, model->obs_dim());
+  warm.FillNormal(rng, 1.0);
+  Matrix dwarm(256, 1);
+  dwarm.FillNormal(rng, 1.0);
+  Matrix mean;
+  Matrix value;
+  model->Forward(warm, &mean, &value);
+  model->Backward(dwarm, dwarm);
+  // Several rounds, so a race between the heads has more than one chance to show.
+  for (int round = 0; round < 8; ++round) {
+    ExpectPoolHeadsMatchSerial(model, 256, rng);
+    ExpectPoolHeadsMatchSerial(model, 255, rng);  // a minibatch tail
+  }
+}
+
+TEST(HeadSplitTest, PreferenceModelPoolHeadsMatchSerialBitForBit) {
+  MoccConfig config;
+  Rng rng(53);
+  PreferenceActorCritic model(config, &rng);
+  ExpectHeadSplitBitIdentical(&model, &rng);
+}
+
+TEST(HeadSplitTest, MlpActorCriticPoolHeadsMatchSerialBitForBit) {
+  Rng rng(59);
+  MlpActorCritic model(30, &rng);
+  ExpectHeadSplitBitIdentical(&model, &rng);
 }
 
 TEST(ParallelRolloutTest, PoolAndSerialCollectionAreBitIdentical) {

@@ -9,7 +9,8 @@
 //   --out PATH         output model file (default mocc_model.bin)
 //   --bootstrap N      bootstrap-phase iterations (default 100)
 //   --rounds N         fast-traversing passes over the landmark grid (default 3)
-//   --divisor D        simplex step divisor; omega = (D-1)(D-2)/2 (default 10 -> 36)
+//   --divisor D        simplex step divisor, an integer >= 3; omega = (D-1)(D-2)/2
+//                      (default 10 -> 36)
 //   --seed S           RNG seed (default 7)
 //   --parallel-envs K  parallel rollout environments (default 1)
 //   --scenario LIST    comma-separated scenario names (see --list-scenarios); env
@@ -41,10 +42,12 @@
 //
 // Exit codes: 0 success, 1 I/O or resume failure, 2 bad usage, 3 interrupted by
 // signal (final checkpoint written), 4 training watchdog exhausted its retries.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/core/offline_trainer.h"
@@ -81,7 +84,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--rounds") {
       config.traversal_rounds = std::atoi(next());
     } else if (arg == "--divisor") {
-      config.mocc.landmark_step_divisor = std::atoi(next());
+      // The landmark grid holds (D-1)(D-2)/2 objectives: D < 3 leaves it empty.
+      const char* text = next();
+      char* end = nullptr;
+      errno = 0;
+      const long divisor = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || errno == ERANGE || divisor < 3 ||
+          divisor > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "--divisor must be an integer >= 3, got '%s'\n", text);
+        return 2;
+      }
+      config.mocc.landmark_step_divisor = static_cast<int>(divisor);
     } else if (arg == "--seed") {
       config.seed = static_cast<uint64_t>(std::atoll(next()));
     } else if (arg == "--parallel-envs") {
