@@ -76,10 +76,15 @@ void ThreadPool::WorkerLoop() {
     if (completed_ == n_ && active_ == 0) {
       done_cv_.notify_all();
     }
-    // Poll for the next job before sleeping: fork-joins often come in quick
-    // succession, and a sleeping worker is slow to wake. While polling_ counts
-    // this worker, ParallelFor does not spend a notification on it; the wait
-    // above picks up any job published meanwhile.
+    // A worker that ran a task polls for the next job before sleeping:
+    // fork-joins often come in quick succession, and a sleeping worker is slow
+    // to wake. One that found every index taken goes back to sleep, so surplus
+    // workers do not spin. While polling_ counts this worker, ParallelFor does
+    // not spend a notification on it; the wait above picks up any job
+    // published meanwhile.
+    if (done == 0) {
+      continue;
+    }
     ++polling_;
     lk.unlock();
     const auto deadline = std::chrono::steady_clock::now() + kPollWindow;
@@ -117,7 +122,6 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     // adopt the job on their own.
     wake = std::min(n - 1, static_cast<int>(workers_.size())) - polling_;
     wake = std::max(0, wake);
-    wakeups_ += static_cast<uint64_t>(wake);
   }
   for (int w = 0; w < wake; ++w) {
     work_cv_.notify_one();
@@ -143,11 +147,6 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   // Retire the job before releasing the lock so late-waking workers skip it.
   fn_ = nullptr;
   n_ = 0;
-}
-
-uint64_t ThreadPool::wakeups() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return wakeups_;
 }
 
 ThreadPool& ThreadPool::Shared() {

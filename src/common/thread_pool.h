@@ -11,7 +11,9 @@
 // much as the task itself on a virtualized host, so:
 //  * a worker that has just run a task polls for the next job for a bounded
 //    window (kPollWindow, about half a millisecond) before it sleeps on the
-//    condition variable; the next fork-join finds it awake;
+//    condition variable; the next fork-join finds it awake. A worker that woke
+//    but found every index taken sleeps again at once, so at most as many
+//    workers poll as there were tasks for them;
 //  * ParallelFor(n) wakes at most n - 1 sleeping workers (the caller runs tasks
 //    too), minus the workers that are still polling, instead of every worker.
 // Neither changes which tasks run or what they compute: the caller keeps
@@ -76,10 +78,6 @@ class ThreadPool {
   // not throw.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
-  // Condition-variable notifications ParallelFor has issued to wake sleeping
-  // workers over the pool's lifetime (each wakes at most one worker).
-  uint64_t wakeups() const;
-
   // Process-wide pool sized to the hardware concurrency. Created on first use.
   static ThreadPool& Shared();
 
@@ -89,7 +87,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex run_mu_;  // serializes ParallelFor calls
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   const std::function<void(int)>* fn_ = nullptr;  // current job; null = retired
@@ -98,7 +96,6 @@ class ThreadPool {
   int active_ = 0;   // workers currently holding a reference to the job
   int polling_ = 0;  // workers in their poll window (they need no notification)
   uint64_t epoch_ = 0;
-  uint64_t wakeups_ = 0;
   bool stop_ = false;
   std::atomic<int> next_{0};
   // Mirror of epoch_ that polling workers read without the lock; the destructor

@@ -5,8 +5,6 @@
 #ifndef MOCC_SRC_RL_ACTOR_CRITIC_H_
 #define MOCC_SRC_RL_ACTOR_CRITIC_H_
 
-#include <algorithm>
-#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -90,64 +88,35 @@ class ActorCritic {
 // head's floating-point operations are exactly those of running it alone, so the
 // result is bit-identical to running them one after the other. Each model keeps
 // one HeadSplit per pass direction (forward and backward grow different
-// workspaces). Two kinds of pass run both heads on the calling thread instead:
-//  * a pass at a row count above every earlier one: it grows the head
-//    workspaces, and growing them here keeps them in the caller's malloc arena
-//    rather than in a pool worker's;
-//  * the kSerialPassesAfterLoss passes after the splits stopped paying off.
-//    The heads cost the same, so a split that takes longer than twice the
-//    faster head lost to the serial order; that happens when the thread
-//    holding the other head waits for a CPU, as on a host whose CPUs are busy
-//    with other work.
+// workspaces). A pass at a row count above every earlier one runs both heads on
+// the calling thread instead: it grows the head workspaces, and growing them here
+// keeps them in the caller's malloc arena rather than in a pool worker's.
 class HeadSplit {
  public:
   template <typename ActorFn, typename CriticFn>
   void Run(size_t rows, ActorFn&& actor, CriticFn&& critic) {
-    if (rows > max_rows_ || serial_passes_ > 0) {
-      if (rows > max_rows_) {
-        max_rows_ = rows;
-      } else {
-        --serial_passes_;
-      }
+    if (rows > max_rows_) {
+      max_rows_ = rows;
       actor();
       critic();
       return;
     }
-    using Clock = std::chrono::steady_clock;
     struct Pass {
       ActorFn& actor;
       CriticFn& critic;
-      Clock::duration took[2];
-    } pass{actor, critic, {}};
-    const Clock::time_point start = Clock::now();
+    } pass{actor, critic};
     // One captured pointer keeps the std::function in its inline storage.
     ThreadPool::Shared().ParallelFor(2, [p = &pass](int head) {
-      const Clock::time_point head_start = Clock::now();
       if (head == 0) {
         p->actor();
       } else {
         p->critic();
       }
-      p->took[head] = Clock::now() - head_start;
     });
-    // Running both heads here would have taken about twice the faster one.
-    // credit_ is the time splits have saved against that, capped at one serial
-    // pass so that a stall shows at once while one slow pass among fast ones
-    // does not.
-    const Clock::duration serial = 2 * std::min(pass.took[0], pass.took[1]);
-    credit_ = std::min(credit_ + serial - (Clock::now() - start), serial);
-    if (credit_ < Clock::duration::zero()) {
-      serial_passes_ = kSerialPassesAfterLoss;
-      credit_ = Clock::duration::zero();
-    }
   }
 
  private:
-  // About one PPO update's worth of minibatches.
-  static constexpr int kSerialPassesAfterLoss = 16;
   size_t max_rows_ = 0;
-  int serial_passes_ = 0;
-  std::chrono::steady_clock::duration credit_{};
 };
 
 // Aurora-style model: two independent MLPs (actor, critic), two hidden layers of 64 and

@@ -325,32 +325,18 @@ TEST(TableTest, AlignsAndCounts) {
   EXPECT_NE(csv.str().find("name,value"), std::string::npos);
 }
 
-// No timing assertions here: only what ran, how often, and what the pool asked
-// of the OS. A lost wake-up or a worker that never leaves its poll would hang
-// the test (and trip the ctest timeout) rather than fail an inequality.
-TEST(ThreadPoolTest, EveryIndexRunsOnceWithAtMostNMinusOneWakeups) {
+// No timing assertions here: only what ran and how often. A lost wake-up or a
+// worker that never leaves its poll would hang the test (and trip the ctest
+// timeout) rather than fail an inequality.
+TEST(ThreadPoolTest, EveryIndexRunsOnceWhenTasksOutnumberWorkers) {
   ThreadPool pool(3);  // two workers + the caller
-  const int workers = pool.size() - 1;
   for (int n : {2, 3, 7, 64}) {
     std::vector<std::atomic<int>> runs(static_cast<size_t>(n));
-    const uint64_t before = pool.wakeups();
     pool.ParallelFor(n, [&](int i) { runs[static_cast<size_t>(i)].fetch_add(1); });
     for (int i = 0; i < n; ++i) {
       EXPECT_EQ(runs[static_cast<size_t>(i)].load(), 1) << "n=" << n << " index " << i;
     }
-    const uint64_t wakeups = pool.wakeups() - before;
-    EXPECT_LE(wakeups, static_cast<uint64_t>(n - 1)) << "n=" << n;
-    EXPECT_LE(wakeups, static_cast<uint64_t>(workers)) << "n=" << n;
   }
-}
-
-TEST(ThreadPoolTest, TwoTaskJobOnALargerPoolWakesAtMostOneWorker) {
-  ThreadPool pool(4);
-  const uint64_t before = pool.wakeups();
-  for (int job = 0; job < 50; ++job) {
-    pool.ParallelFor(2, [](int) {});
-  }
-  EXPECT_LE(pool.wakeups() - before, 50u);
 }
 
 TEST(ThreadPoolTest, BackToBackPairJobsReturnPerSlotResults) {

@@ -321,10 +321,12 @@ TEST(NnFastPathTest, PnCacheStaysCoherentAcrossWeightChanges) {
 
 // Runs the minibatch Forward + Backward of a fresh Clone of `model` (its first
 // pass at a row count runs both heads on the calling thread) as the reference,
-// then the same pass three times back to back on `model`, whose earlier 256-row
-// pass makes each of these take the pool path, one head per task. Back to back,
-// the worker that ran the last head is still polling, so the heads overlap.
-// Outputs and parameter gradients must be bit-identical to the reference.
+// then the same pass three times back to back on `model`. Its earlier 256-row
+// pass means each of these is handed to the shared pool as a two-task
+// ParallelFor, one head per task. Which thread claims which head is up to the
+// scheduler; a worker that ran the last head is usually still polling when the
+// next pass arrives, so the heads mostly run on two threads at once. Outputs
+// and parameter gradients must be bit-identical to the reference.
 void ExpectPoolHeadsMatchSerial(ActorCritic* model, size_t rows, Rng* rng) {
   Matrix obs(rows, model->obs_dim());
   obs.FillNormal(rng, 1.0);
